@@ -9,15 +9,26 @@ missing subfile j from broadcast x = cell (j, k) by XOR-cancelling every
 other term with cached copies; the star-corner property is exactly the
 statement that those copies are cached.
 
+None of that structure depends on the demands, so each grid is compiled
+once into a plan: every user's star rows, every symbol's occurrences
+(user, row) in column order, and every user's symbol cells with the other
+occurrences of their symbol.  The plan is cached for the last few grids.
+Per demand vector, `place`, `deliver` and `decode` only look up the plan
+and XOR; the content of each (file, subfile) a session's broadcasts combine
+is fetched once and shared by its `deliver` and `decode`.
+
 Subfile contents are deterministic pseudo-random bytes derived from
 (seed, file, subfile), so decoding is an end-to-end byte equality check on
-actual XOR algebra, not index bookkeeping.  The measured rate is
-S_used / F: symbols absent from the grid transmit nothing.
+actual XOR algebra, not index bookkeeping.  A user that cannot decode is
+named in `CachingTranscript.failures` with the row it could not recover
+and why.  The measured rate is S_used / F: symbols absent from the grid
+transmit nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +36,11 @@ from functools import lru_cache
 from .core import PdaGrid, PdaUsageError
 
 Placement = dict[int, frozenset[tuple[int, int]]]
+
+# Contents of the most recently used (seed, file, subfile, size) keys.
+_CONTENT_CACHE_ENTRIES = 256
+# Compiled plans of the most recently simulated grids.
+_PLAN_CACHE_ENTRIES = 4
 
 
 @dataclass(frozen=True)
@@ -85,14 +101,28 @@ class Broadcast:
 
 
 @dataclass(frozen=True)
+class DecodeFailure:
+    """Why a user could not decode: the first row (subfile of its demanded
+    file) it could not recover, and the reason.  `cache_miss`: a star row
+    or a foreign XOR term is absent from the user's cache.
+    `missing_broadcast`: no broadcast carries the cell's symbol.
+    `mismatch`: the cancelled XOR differs from the subfile's bytes."""
+
+    user: int
+    row: int
+    reason: str
+
+
+@dataclass(frozen=True)
 class CachingTranscript:
     placement: Placement
     broadcasts: dict[int, Broadcast]
     decoded: tuple[bool, ...]
     rate: Fraction
+    failures: tuple[DecodeFailure, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CONTENT_CACHE_ENTRIES)
 def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
     """Deterministic pseudo-random content, as a size-byte big-endian int."""
     base = f"pda-sim:{seed}:{file}:{subfile}".encode()
@@ -102,6 +132,72 @@ def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
         out += hashlib.sha256(base + b":%d" % counter).digest()
         counter += 1
     return int.from_bytes(out[:size], "big")
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The demand-independent structure of a grid's scheme.
+
+    cells: every symbol cell (user, row), grouped by symbol, symbols
+    ascending, each group in column order.  symbols: (x, start, stop) for
+    each symbol present, its group being cells[start:stop].
+    star_rows[k]: the rows user k caches.  symbol_cells[k]: (row, symbol,
+    own, foreign) for each symbol cell of user k in row order, where own is
+    the cell's index in `cells` and foreign the indices of the other cells
+    of its symbol.
+    """
+
+    cells: tuple[tuple[int, int], ...]
+    symbols: tuple[tuple[int, int, int], ...]
+    star_rows: tuple[tuple[int, ...], ...]
+    symbol_cells: tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...], ...]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_ENTRIES)
+def _plan(grid: PdaGrid) -> _Plan:
+    f, k = grid.f, grid.k
+    columns = [grid.cells[u::k] for u in range(k)]
+    found: dict[int, list[tuple[int, int]]] = {}
+    for u, col in enumerate(columns):
+        for j, x in enumerate(col):
+            if x is not None:
+                found.setdefault(x, []).append((u, j))
+    cells: list[tuple[int, int]] = []
+    symbols: list[tuple[int, int, int]] = []
+    # (user, row) -> (its index in cells, the indices of the rest of its group)
+    where: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    for x in sorted(found):
+        start, stop = len(cells), len(cells) + len(found[x])
+        symbols.append((x, start, stop))
+        for i, cell in enumerate(found[x], start):
+            where[cell] = (i, tuple(o for o in range(start, stop) if o != i))
+        cells.extend(found[x])
+    return _Plan(
+        cells=tuple(cells),
+        symbols=tuple(symbols),
+        star_rows=tuple(
+            tuple(j for j in range(f) if col[j] is None) for col in columns
+        ),
+        symbol_cells=tuple(
+            tuple((j, x, *where[u, j]) for j, x in enumerate(col) if x is not None)
+            for u, col in enumerate(columns)
+        ),
+    )
+
+
+@lru_cache(maxsize=1)
+def _session(
+    grid: PdaGrid, instance: CachingInstance
+) -> tuple[_Plan, list[tuple[int, int]], list[int]]:
+    """The grid's plan, the (file, subfile) term of each plan cell under the
+    instance's demands, and its content, hashed once per distinct term.
+    Kept for the last instance only, which the deliver and decode of one
+    session share."""
+    plan = _plan(grid)
+    seed, size, demands = instance.seed, instance.subfile_size, instance.demands
+    terms = [(demands[u], j) for u, j in plan.cells]
+    contents = {t: subfile_content(seed, t[0], t[1], size) for t in set(terms)}
+    return plan, terms, [contents[t] for t in terms]
 
 
 def _check_dims(grid: PdaGrid, instance: CachingInstance) -> None:
@@ -116,13 +212,11 @@ def place(grid: PdaGrid, instance: CachingInstance) -> Placement:
     """Demand-oblivious placement: user k caches subfile j of every file
     exactly when cell (j, k) is a star."""
     _check_dims(grid, instance)
-    placement: Placement = {}
-    for k in range(grid.k):
-        star_rows = [j for j in range(grid.f) if grid.cell(j, k) is None]
-        placement[k] = frozenset(
-            (file, j) for file in range(instance.n_files) for j in star_rows
-        )
-    return placement
+    files = range(instance.n_files)
+    return {
+        k: frozenset(itertools.product(files, rows))
+        for k, rows in enumerate(_plan(grid).star_rows)
+    }
 
 
 def deliver(
@@ -131,19 +225,13 @@ def deliver(
     """One broadcast per symbol present in the grid, XOR over the demanded
     subfiles at that symbol's cells, in column order."""
     _check_dims(grid, instance)
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for k in range(grid.k):
-        for j in range(grid.f):
-            x = grid.cell(j, k)
-            if x is not None:
-                occurrences.setdefault(x, []).append((instance.demands[k], j))
+    plan, terms, contents = _session(grid, instance)
     broadcasts: dict[int, Broadcast] = {}
-    for x in sorted(occurrences):
-        terms = tuple(occurrences[x])
+    for x, start, stop in plan.symbols:
         payload = 0
-        for file, j in terms:
-            payload ^= subfile_content(instance.seed, file, j, instance.subfile_size)
-        broadcasts[x] = Broadcast(symbol=x, terms=terms, payload=payload)
+        for value in contents[start:stop]:
+            payload ^= value
+        broadcasts[x] = Broadcast(x, tuple(terms[start:stop]), payload)
     return broadcasts
 
 
@@ -157,50 +245,57 @@ def decode(
     demanded file, byte-exactly, from its cache plus the broadcasts?
 
     A star cell reads from the cache; a symbol cell takes that broadcast
-    and cancels every foreign term with cached content.  Any cache miss or
-    byte mismatch makes the verdict False: on a valid grid that would be a
-    bug, on an invalid grid it is the expected observable failure.
+    and cancels every foreign term of the grid's symbol with cached
+    content.  Any cache miss or byte mismatch makes the verdict False: on a
+    valid grid that would be a bug, on an invalid grid it is the expected
+    observable failure.  `simulate` reports the reason per failing user.
     """
+    return tuple([f is None for f in _decode(grid, instance, placement, broadcasts)])
+
+
+def _decode(
+    grid: PdaGrid,
+    instance: CachingInstance,
+    placement: Placement,
+    broadcasts: dict[int, Broadcast],
+) -> list[DecodeFailure | None]:
+    """Per user, the first row it cannot recover, or None.  Star rows are
+    checked before symbol cells, each in row order."""
     _check_dims(grid, instance)
-    verdicts = []
-    for k in range(grid.k):
-        want = instance.demands[k]
-        cache = placement.get(k, frozenset())
-        ok = True
-        for j in range(grid.f):
-            x = grid.cell(j, k)
-            if x is None:
-                if (want, j) not in cache:
-                    ok = False
-                    break
-                continue
-            b = broadcasts.get(x)
-            if b is None:
-                ok = False
-                break
-            value = b.payload
-            own_cancelled = False
-            miss = False
-            for file, sub in b.terms:
-                if not own_cancelled and (file, sub) == (want, j):
-                    own_cancelled = True
-                    continue
-                if (file, sub) in cache:
-                    value ^= subfile_content(
-                        instance.seed, file, sub, instance.subfile_size
-                    )
-                else:
-                    miss = True
-                    break
-            if (
-                miss
-                or not own_cancelled
-                or value != subfile_content(instance.seed, want, j, instance.subfile_size)
-            ):
-                ok = False
-                break
-        verdicts.append(ok)
-    return tuple(verdicts)
+    plan, terms, contents = _session(grid, instance)
+    empty: frozenset[tuple[int, int]] = frozenset()
+    return [
+        _first_failure(
+            k, want, placement.get(k, empty), plan, terms, contents, broadcasts
+        )
+        for k, want in enumerate(instance.demands)
+    ]
+
+
+def _first_failure(
+    k: int,
+    want: int,
+    cache: frozenset[tuple[int, int]],
+    plan: _Plan,
+    terms: list[tuple[int, int]],
+    contents: list[int],
+    broadcasts: dict[int, Broadcast],
+) -> DecodeFailure | None:
+    for j in plan.star_rows[k]:
+        if (want, j) not in cache:
+            return DecodeFailure(k, j, "cache_miss")
+    for j, x, own, foreign in plan.symbol_cells[k]:
+        b = broadcasts.get(x)
+        if b is None:
+            return DecodeFailure(k, j, "missing_broadcast")
+        value = b.payload
+        for i in foreign:
+            if terms[i] not in cache:
+                return DecodeFailure(k, j, "cache_miss")
+            value ^= contents[i]
+        if value != contents[own]:
+            return DecodeFailure(k, j, "mismatch")
+    return None
 
 
 def rate(grid: PdaGrid) -> Fraction:
@@ -209,10 +304,20 @@ def rate(grid: PdaGrid) -> Fraction:
 
 
 def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
-    """Full pipeline driver: place, deliver, decode, measure."""
+    """Full pipeline driver: place, deliver, decode, measure.  Only when a
+    user fails is decoding repeated to name the row and reason."""
     placement = place(grid, instance)
     broadcasts = deliver(grid, instance, placement)
     decoded = decode(grid, instance, placement, broadcasts)
+    failures: tuple[DecodeFailure, ...] = ()
+    if not all(decoded):
+        failures = tuple(
+            f for f in _decode(grid, instance, placement, broadcasts) if f is not None
+        )
     return CachingTranscript(
-        placement=placement, broadcasts=broadcasts, decoded=decoded, rate=rate(grid)
+        placement=placement,
+        broadcasts=broadcasts,
+        decoded=decoded,
+        rate=rate(grid),
+        failures=failures,
     )

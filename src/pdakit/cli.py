@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,8 +43,8 @@ def _parse_budget(text: str) -> float:
         value = float(text) * scale
     except ValueError:
         raise PdaUsageError(f"bad budget {text!r}; use e.g. 60s, 5m") from None
-    if value <= 0:
-        raise PdaUsageError("budget must be positive")
+    if not math.isfinite(value) or value <= 0:
+        raise PdaUsageError("budget must be a positive finite number of seconds")
     return value
 
 
@@ -55,7 +56,7 @@ def _default_budget() -> float:
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     budget = _parse_budget(args.budget) if args.budget else _default_budget()
     kwargs = {"time_budget": budget}
-    if getattr(args, "nodes", None):
+    if getattr(args, "nodes", None) is not None:
         kwargs["node_budget"] = args.nodes
     if getattr(args, "threads", None):
         kwargs["parallel_width"] = args.threads
@@ -286,7 +287,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if len(demands) != grid.k:
             raise PdaUsageError(f"need {grid.k} demands, got {len(demands)}")
         assignments = iter([tuple(demands)])
-    decoded_all = True
+    first_failure = None
     count = 0
     for demands in assignments:
         instance = caching.CachingInstance.for_grid(
@@ -297,17 +298,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             subfile_size=args.subfile_bytes,
         )
         transcript = caching.simulate(grid, instance)
-        decoded_all = decoded_all and all(transcript.decoded)
+        if first_failure is None and transcript.failures:
+            failure = transcript.failures[0]
+            first_failure = {
+                "demands": list(demands),
+                "user": failure.user,
+                "row": failure.row,
+                "reason": failure.reason,
+            }
         count += 1
-    _emit(
-        {
-            "rate": str(caching.rate(grid)),
-            "broadcasts": grid.s_used(),
-            "decoded_all": decoded_all,
-            "assignments": count,
-        }
-    )
-    return 0 if decoded_all else 1
+    obj = {
+        "rate": str(caching.rate(grid)),
+        "broadcasts": grid.s_used(),
+        "decoded_all": first_failure is None,
+        "assignments": count,
+    }
+    if first_failure is not None:
+        obj["first_failure"] = first_failure
+    _emit(obj)
+    return 0 if first_failure is None else 1
 
 
 def _parse_f_range(text: str) -> list[int]:

@@ -28,7 +28,7 @@ from .core import Cell, PdaGrid
 
 FORMAT_HEADER = "#PDA v1"
 
-_SHAPE_RE = re.compile(r"^K=(\d+)\s+F=(\d+)\s+Z=(\d+|-)\s+S=(\d+)$")
+_SHAPE_RE = re.compile(r"^K=(\d+)\s+F=(\d+)\s+Z=(\d+|-)\s+S=(\d+)$", re.ASCII)
 
 
 class PdaFormatError(ValueError):
@@ -80,7 +80,7 @@ def parse(text: str) -> PdaGrid:
         for t in tokens:
             if t == "*":
                 cells.append(None)
-            elif t.isdigit():
+            elif t.isascii() and t.isdigit():
                 v = int(t)
                 if not 0 <= v < s:
                     raise PdaFormatError(f"row {i}: symbol {v} outside [0, {s})")

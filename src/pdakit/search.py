@@ -68,8 +68,8 @@ class SearchConfig:
     parallel_width: int = 0
 
     def __post_init__(self) -> None:
-        if self.time_budget <= 0:
-            raise PdaUsageError("time budget must be positive")
+        if not math.isfinite(self.time_budget) or self.time_budget <= 0:
+            raise PdaUsageError("time budget must be a positive finite number")
         if self.node_budget <= 0:
             raise PdaUsageError("node budget must be positive")
         if self.parallel_width < 0:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import pdakit as pk
-from pdakit import CachingInstance, PdaGrid, PdaUsageError
+from pdakit import CachingInstance, PdaGrid, PdaUsageError, caching
 
 STAR = None
 
@@ -165,6 +165,35 @@ class TestDecode:
         b = broadcasts[0]
         tampered = {0: pk.Broadcast(symbol=0, terms=b.terms, payload=b.payload ^ 1)}
         assert pk.decode(IDENTITY_2, inst, placement, tampered) == (False, False)
+
+
+class TestFailures:
+    def test_decoded_sessions_have_no_failures(self):
+        g = pk.mn_pda(4, 2)
+        inst = CachingInstance.for_grid(g, n_files=3, demands=(0, 1, 2, 0, 1, 2))
+        assert pk.simulate(g, inst).failures == ()
+
+    def test_one_failure_per_failing_user(self):
+        bad = grid([[0, STAR], [1, 0]], s=2)
+        inst = CachingInstance.for_grid(bad, n_files=2, demands=(0, 1))
+        out = pk.simulate(bad, inst)
+        assert out.decoded == (False, True)
+        assert out.failures == (pk.DecodeFailure(user=0, row=0, reason="cache_miss"),)
+
+    def test_reasons_for_tampered_inputs(self):
+        inst = CachingInstance.for_grid(IDENTITY_2, n_files=2, demands=(0, 1))
+        placement = pk.place(IDENTITY_2, inst)
+        broadcasts = pk.deliver(IDENTITY_2, inst, placement)
+        b = broadcasts[0]
+        tampered = {0: pk.Broadcast(symbol=0, terms=b.terms, payload=b.payload ^ 1)}
+        reasons = caching._decode(IDENTITY_2, inst, placement, tampered)
+        assert [f.reason for f in reasons] == ["mismatch", "mismatch"]
+        assert [f.row for f in reasons] == [1, 0]
+        reasons = caching._decode(IDENTITY_2, inst, placement, {})
+        assert [f.reason for f in reasons] == ["missing_broadcast"] * 2
+        reasons = caching._decode(IDENTITY_2, inst, {1: placement[1]}, broadcasts)
+        assert reasons[0] == pk.DecodeFailure(user=0, row=0, reason="cache_miss")
+        assert reasons[1] is None
 
 
 class TestRate:

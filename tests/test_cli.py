@@ -120,6 +120,13 @@ class TestVerify:
         proc = run_cli("verify", "--frobnicate", "-")
         assert proc.returncode == 2
 
+    def test_non_ascii_digit_cell_exits_two(self):
+        for token in ("\u00b2", "\u0663"):  # superscript two, Arabic-Indic three
+            proc = run_cli("verify", "-", stdin=f"#PDA v1\nK=1 F=1 Z=- S=4\n{token}\n")
+            assert proc.returncode == 2, token
+            assert "bad token" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
 
 class TestTransform:
     def test_every_op_reads_stdin(self, tmp_path):
@@ -248,6 +255,26 @@ class TestSearch:
         )
         assert proc.returncode == 2
 
+    def test_non_finite_budget_exits_two(self):
+        for budget in ("nan", "inf", "nanm"):
+            proc = run_cli(
+                "search", "maxk", "--f", "5", "--z", "3", "--s", "7", "--budget", budget
+            )
+            assert proc.returncode == 2, budget
+            assert "finite" in proc.stderr
+        proc = run_cli(
+            "search", "maxk", "--f", "5", "--z", "3", "--s", "7",
+            env_extra={"PDA_SEARCH_BUDGET": "nan"},
+        )
+        assert proc.returncode == 2
+
+    def test_zero_node_budget_exits_two(self):
+        proc = run_cli(
+            "search", "maxk", "--f", "3", "--z", "1", "--s", "3", "--nodes", "0"
+        )
+        assert proc.returncode == 2
+        assert "node budget" in proc.stderr
+
 
 class TestDecompose:
     def test_splits_and_writes_parts(self, tmp_path):
@@ -311,7 +338,24 @@ class TestSimulate:
             stdin=VIOLATOR,
         )
         assert proc.returncode == 1
-        assert last_json(proc.stdout)["decoded_all"] is False
+        assert last_json(proc.stdout) == {
+            "rate": "1",
+            "broadcasts": 2,
+            "decoded_all": False,
+            "assignments": 1,
+            "first_failure": {
+                "demands": [0, 1], "user": 0, "row": 0, "reason": "cache_miss",
+            },
+        }
+
+    def test_all_demands_names_the_first_failing_vector(self):
+        proc = run_cli(
+            "simulate", "--pda", "-", "--files", "2", "--all-demands", stdin=VIOLATOR
+        )
+        assert proc.returncode == 1
+        obj = last_json(proc.stdout)
+        assert obj["assignments"] == 4
+        assert obj["first_failure"]["demands"] == [0, 0]
 
     def test_usage_errors(self):
         built = run_cli("construct", "mn", "--f", "3", "--z", "1").stdout

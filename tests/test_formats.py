@@ -89,6 +89,9 @@ class TestParse:
             ("#PDA v1\nK=2 F=2 Z=1 S=1\n* x\n0 *\n", "bad token"),
             ("#PDA v1\nK=2 F=2 Z=1 S=2\n* -1\n0 *\n", "bad token"),
             ("#PDA v1\nK=0 F=2 Z=- S=0\n* 0\n", "no row tokens"),
+            ("#PDA v1\nK=1 F=1 Z=- S=4\n\u00b2\n", "bad token"),
+            ("#PDA v1\nK=1 F=1 Z=- S=4\n\u0663\n", "bad token"),
+            ("#PDA v1\nK=1 F=1 Z=- S=\u0663\n0\n", "bad shape line"),
         ]
         for text, fragment in cases:
             with pytest.raises(PdaFormatError, match=fragment):

@@ -30,6 +30,9 @@ class TestSearchConfig:
             SearchConfig(node_budget=0)
         with pytest.raises(PdaUsageError):
             SearchConfig(parallel_width=-1)
+        for budget in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PdaUsageError):
+                SearchConfig(time_budget=budget)
 
     def test_defaults_are_sequential(self):
         cfg = SearchConfig()
