@@ -58,8 +58,6 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     kwargs = {"time_budget": budget}
     if getattr(args, "nodes", None) is not None:
         kwargs["node_budget"] = args.nodes
-    if getattr(args, "threads", None):
-        kwargs["parallel_width"] = args.threads
     if getattr(args, "no_prune", False):
         kwargs["prune_with_bounds"] = False
     return search.SearchConfig(**kwargs)
@@ -344,11 +342,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             raise PdaUsageError("catalog covers the Z = F-2 family; need F >= 2")
         for s in range(1, args.s_max + 1):
             est = bounds_mod.conjectured_k_fz2(f, s)
-            cfg = search.SearchConfig(
-                time_budget=budget,
-                parallel_width=args.threads or 0,
-            )
-            outcome = search.max_k(f, z, s, cfg)
+            outcome = search.max_k(f, z, s, search.SearchConfig(time_budget=budget))
             row = {
                 "f": f,
                 "s": s,
@@ -375,7 +369,6 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", help="time budget, e.g. 60s or 5m")
     p.add_argument("--nodes", type=int, help="node budget")
-    p.add_argument("--threads", type=int, help="parallel width (0 = sequential)")
     p.add_argument(
         "--no-prune", action="store_true", help="disable certified bound pruning"
     )
@@ -505,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="f-2", help="must denote F-2")
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--budget", help="per-cell search budget")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_catalog)
 
     return parser

@@ -78,6 +78,22 @@ class PdaGrid:
             if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.s:
                 raise PdaUsageError(f"cell value {c!r} outside [0, {self.s})")
 
+    def __hash__(self) -> int:
+        # Computed on first use, then kept: grids key lru_caches, and the
+        # generated hash would rescan every cell on each lookup.  Building a
+        # grid stays free of the scan.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.f, self.k, self.s, self.cells))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # The kept hash is per process (None hashes by address), so it is
+        # not pickled.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Cell]], s: int) -> "PdaGrid":
         """Build a grid from a row-of-rows literal and a symbol bound."""

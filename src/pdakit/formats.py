@@ -128,11 +128,10 @@ def parse_json(source: str | dict[str, Any]) -> PdaGrid:
         obj = source
     if not isinstance(obj, dict):
         raise PdaFormatError("JSON grid must be an object")
-    try:
-        k, f, s = int(obj["k"]), int(obj["f"]), int(obj["s"])
-        rows = obj["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PdaFormatError(f"JSON grid missing or bad field: {exc}") from None
+    k, f, s = (_json_int(obj, key) for key in ("k", "f", "s"))
+    if "rows" not in obj:
+        raise PdaFormatError("JSON grid missing or bad field: 'rows'")
+    rows = obj["rows"]
     if not isinstance(rows, list) or len(rows) != f:
         raise PdaFormatError(f"expected {f} rows")
     cells: list[Cell] = []
@@ -147,10 +146,21 @@ def parse_json(source: str | dict[str, Any]) -> PdaGrid:
             else:
                 raise PdaFormatError(f"row {i}: bad entry {v!r}")
     grid = PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
-    declared_z = obj.get("z")
-    if declared_z is not None:
-        _check_declared_z(grid, int(declared_z))
+    if obj.get("z") is not None:
+        _check_declared_z(grid, _json_int(obj, "z"))
     return grid
+
+
+def _json_int(obj: dict[str, Any], key: str) -> int:
+    """A JSON integer field; strings, floats and booleans are format errors."""
+    if key not in obj:
+        raise PdaFormatError(f"JSON grid missing or bad field: {key!r}")
+    value = obj[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PdaFormatError(
+            f"JSON grid missing or bad field: {key!r} must be an integer, not {value!r}"
+        )
+    return value
 
 
 def parse_any(text: str) -> PdaGrid:

@@ -17,8 +17,17 @@ remaining column whose key is minimal under the labeling forced so far
 decreases while it waits, because a waiting unlabeled symbol can only
 receive a label >= the fresh label it would have taken earlier; hence the
 greedy sequence has non-decreasing keys and first-use labels, i.e. the
-search tree contains a representative of every feasibility class.  Row
-permutations are deliberately not broken; correctness first at desk scale.
+search tree contains a representative of every feasibility class.
+
+Row relabelings preserve validity too, and one of them is broken: the first
+column may only take star set index 0 (stars on rows 0..Z-1).  Relabel the
+rows of any witness so that some column's stars sit on rows 0..Z-1; that
+column then has the minimal major key, so the greedy order above puts such
+a column first.  Because the scan tries star sets in index order, the
+witness found is the one an unrestricted scan would find; only levels that
+exhaust without a witness visit fewer nodes.  The row permutations that
+still fix the first column (any order of rows 0..Z-1 and of rows Z..F-1)
+are not broken.
 
 Soundness: a column is admitted only if, for each of its symbols x, every
 earlier row of x is a star row of the new column and the new row is a star
@@ -29,17 +38,16 @@ depth K is a witness.
 
 max_k scans target K downward from the certified cap, min_s scans S upward
 from the certified floor; exhausted outcomes are exact, budget-bounded ones
-degrade to honest witnessed bounds.
+degrade to honest witnessed bounds.  Each scanned level is recorded in
+SearchOutcome.levels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bounds import (
     lower_bound_s,
@@ -56,61 +64,78 @@ class SearchConfig:
     """Budgets and strategy knobs for the exhaustive searches.
 
     time_budget is wall seconds, node_budget counts column placements;
-    whichever runs out first aborts the search.  prune_with_bounds turns on
-    the certified bound prunes (they never change results, only work).
-    parallel_width > 0 splits the first-column choices across that many
-    threads; 0 is the sequential, bit-for-bit deterministic mode.
+    whichever runs out first aborts the search.  The clock is read on the
+    first node and then every 1024 nodes, so a time abort lands within 1024
+    nodes of the deadline.  prune_with_bounds turns on the certified bound
+    prunes (they never change results, only work).  The search is
+    sequential and bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
     node_budget: int = 50_000_000
     prune_with_bounds: bool = True
-    parallel_width: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.time_budget) or self.time_budget <= 0:
             raise PdaUsageError("time budget must be a positive finite number")
         if self.node_budget <= 0:
             raise PdaUsageError("node budget must be positive")
-        if self.parallel_width < 0:
-            raise PdaUsageError("parallel width must be nonnegative")
+
+
+_FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
+
+
+@dataclass(frozen=True)
+class SearchLevel:
+    """One scanned level of a search: the K asked for by max_k, or the S
+    tried by min_s.  code is "found", "exhausted" or "abort"; deepest is the
+    longest valid column prefix reached; cap_prunes and row_avail_prunes
+    count the nodes cut by the symbol-capacity and row-availability rules."""
+
+    target: int
+    code: str
+    nodes: int
+    elapsed_s: float
+    deepest: int
+    cap_prunes: int
+    row_avail_prunes: int
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
     """Result of a search: when exhausted the optimum is exact, otherwise it
     is the best witnessed value (a lower bound for max_k, an upper bound for
-    min_s).  witness always verifies valid at the claimed parameters."""
+    min_s).  witness always verifies valid at the claimed parameters.
+    levels holds one record per scanned level, in scan order; their nodes
+    sum to nodes_visited."""
 
     optimum: int
     witness: PdaGrid
     exhausted: bool
     nodes_visited: int
     elapsed: float
+    levels: tuple[SearchLevel, ...] = ()
 
 
 class _Budget:
-    """Shared, thread-safe node and deadline accounting."""
+    """Node and deadline accounting, shared by the levels of one search."""
 
     def __init__(self, cfg: SearchConfig) -> None:
         self.deadline = time.monotonic() + cfg.time_budget
         self.cap = cfg.node_budget
         self.count = 0
         self.expired = False
-        self._lock = threading.Lock()
 
     def spend(self) -> bool:
-        with self._lock:
-            if self.expired:
-                return False
-            self.count += 1
-            if self.count > self.cap or time.monotonic() > self.deadline:
-                self.expired = True
-                return False
-            return True
-
-
-_FOUND, _EXHAUSTED, _ABORT = 1, 0, -1
+        if self.expired:
+            return False
+        self.count += 1
+        if self.count > self.cap or (
+            self.count & 1023 == 1 and time.monotonic() > self.deadline
+        ):
+            self.expired = True
+            return False
+        return True
 
 
 def _star_sets(f: int, z: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -126,25 +151,26 @@ def _star_sets(f: int, z: int) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
-def _search_feasible(
-    f: int,
-    z: int,
-    s: int,
-    target: int,
-    budget: _Budget,
-    stop: threading.Event | None = None,
-    first_star: int | None = None,
-):
-    """One feasibility run.  Returns (code, cols) where code is _FOUND /
-    _EXHAUSTED / _ABORT; on success cols is the witness as a list of
-    (star-set index, star mask, symbol tuple), otherwise the deepest valid
-    prefix reached (a witness for its own length)."""
+def _feasible(
+    f: int, z: int, s: int, target: int, budget: _Budget
+) -> tuple[SearchLevel, list[tuple[int, int, tuple[int, ...]]]]:
+    """One feasibility run for target >= 1.  Returns (level, cols): on
+    success cols is the witness as a list of (star-set index, star mask,
+    symbol tuple), otherwise the deepest valid prefix reached (a witness
+    for its own length)."""
+    start, start_count = time.monotonic(), budget.count
     sets = _star_sets(f, z)
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
     row_fill = [0] * f
     cols: list[tuple[int, int, tuple[int, ...]]] = []
-    state = {"used": 0, "cap": s * (z + 1), "best": 0}
+    state = {
+        "used": 0,
+        "cap": s * (z + 1),
+        "best": 0,
+        "cap_prunes": 0,
+        "row_avail_prunes": 0,
+    }
     best_cols: list[tuple[int, int, tuple[int, ...]]] = []
 
     def place_cells(
@@ -155,7 +181,7 @@ def _search_feasible(
         syms: tuple[int, ...],
         tight: bool,
         last_syms: tuple[int, ...],
-    ) -> int:
+    ) -> str:
         if idx == len(nonstars):
             cols.append((si, mask, syms))
             code = descend(len(cols))
@@ -196,28 +222,31 @@ def _search_feasible(
                 return code
         return _EXHAUSTED
 
-    def descend(depth: int) -> int:
+    def descend(depth: int) -> str:
         nonlocal best_cols
         if depth > state["best"]:
             state["best"] = depth
             best_cols = list(cols)
         if depth == target:
             return _FOUND
-        if stop is not None and stop.is_set():
-            return _ABORT
         if not budget.spend():
             return _ABORT
         remaining = target - depth
         if remaining * (f - z) > state["cap"]:
+            state["cap_prunes"] += 1
             return _EXHAUSTED
         avail = 0
         for r in range(f):
             free = s - row_fill[r]
             avail += free if free < remaining else remaining
         if avail < remaining * (f - z):
+            state["row_avail_prunes"] += 1
             return _EXHAUSTED
-        lo_si = cols[-1][0] if cols else 0
-        for si in range(lo_si, len(sets)):
+        if cols:
+            lo_si, hi_si = cols[-1][0], len(sets)
+        else:
+            lo_si, hi_si = 0, 1  # row symmetry: the first column stars rows 0..Z-1
+        for si in range(lo_si, hi_si):
             mask, nonstars = sets[si]
             tight = bool(cols) and si == lo_si
             last_syms = cols[-1][2] if tight else ()
@@ -226,25 +255,17 @@ def _search_feasible(
                 return code
         return _EXHAUSTED
 
-    if first_star is None:
-        code = descend(0)
-    else:
-        # Seed the forced first column: chosen star set, fresh symbols in
-        # row order (the only canonical possibility for column one).
-        mask, nonstars = sets[first_star]
-        syms = tuple(range(len(nonstars)))
-        for x, r in zip(syms, nonstars):
-            rows_of[x] = 1 << r
-            star_and[x] &= mask
-            row_fill[r] = 1
-            state["cap"] -= 1
-        state["used"] = len(syms)
-        cols.append((first_star, mask, syms))
-        state["best"] = 1
-        best_cols = list(cols)
-        code = descend(1)
-
-    return code, (cols if code == _FOUND else best_cols)
+    code = descend(0)
+    level = SearchLevel(
+        target=target,
+        code=code,
+        nodes=budget.count - start_count,
+        elapsed_s=time.monotonic() - start,
+        deepest=state["best"],
+        cap_prunes=state["cap_prunes"],
+        row_avail_prunes=state["row_avail_prunes"],
+    )
+    return level, (cols if code == _FOUND else best_cols)
 
 
 def _cols_to_grid(f: int, s: int, cols) -> PdaGrid:
@@ -258,42 +279,22 @@ def _cols_to_grid(f: int, s: int, cols) -> PdaGrid:
     return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
 
 
-def _feasible(
-    f: int,
-    z: int,
-    s: int,
-    target: int,
+def _outcome(
+    optimum: int,
+    witness: PdaGrid,
+    exhausted: bool,
     budget: _Budget,
-    cfg: SearchConfig,
-):
-    """Dispatch a feasibility question sequentially or across first-column
-    subtrees.  Returns (code, cols-or-best-prefix)."""
-    if target == 0:
-        return _FOUND, []
-    if cfg.parallel_width == 0:
-        return _search_feasible(f, z, s, target, budget)
-
-    sets = _star_sets(f, z)
-    stop = threading.Event()
-
-    def task(si: int):
-        return _search_feasible(f, z, s, target, budget, stop, first_star=si)
-
-    results: list[tuple[int, int, list]] = []
-    with ThreadPoolExecutor(max_workers=cfg.parallel_width) as pool:
-        futures = {pool.submit(task, si): si for si in range(len(sets))}
-        for fut, si in futures.items():
-            code, cols = fut.result()
-            results.append((si, code, cols))
-            if code == _FOUND:
-                stop.set()
-    found = sorted((si, cols) for si, code, cols in results if code == _FOUND)
-    if found:
-        return _FOUND, found[0][1]
-    best = max((cols for _, _, cols in results), key=len, default=[])
-    if any(code == _ABORT for _, code, _ in results):
-        return _ABORT, best
-    return _EXHAUSTED, best
+    start: float,
+    levels: list[SearchLevel],
+) -> SearchOutcome:
+    return SearchOutcome(
+        optimum=optimum,
+        witness=witness,
+        exhausted=exhausted,
+        nodes_visited=budget.count,
+        elapsed=time.monotonic() - start,
+        levels=tuple(levels),
+    )
 
 
 def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -318,38 +319,20 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     cap = upper_bound_k(f, z, s).value
     if cfg.prune_with_bounds and z == f - 2 and f >= 3 and s >= 1:
         cap = min(cap, pjd_max_k(f, s).value)
-    aborted = False
+    levels: list[SearchLevel] = []
     best_prefix: list = []
     for target in range(cap, 0, -1):
-        code, cols = _feasible(f, z, s, target, budget, cfg)
-        if code == _FOUND:
-            return SearchOutcome(
-                optimum=target,
-                witness=_cols_to_grid(f, s, cols),
-                exhausted=not aborted,
-                nodes_visited=budget.count,
-                elapsed=time.monotonic() - start,
+        level, cols = _feasible(f, z, s, target, budget)
+        levels.append(level)
+        if level.code == _FOUND:
+            return _outcome(
+                target, _cols_to_grid(f, s, cols), True, budget, start, levels
             )
-        if len(cols) > len(best_prefix):
-            best_prefix = cols
-        if code == _ABORT:
-            aborted = True
-            break
-    if aborted:
-        return SearchOutcome(
-            optimum=len(best_prefix),
-            witness=_cols_to_grid(f, s, best_prefix),
-            exhausted=False,
-            nodes_visited=budget.count,
-            elapsed=time.monotonic() - start,
-        )
-    return SearchOutcome(
-        optimum=0,
-        witness=PdaGrid(f=f, k=0, s=s, cells=()),
-        exhausted=True,
-        nodes_visited=budget.count,
-        elapsed=time.monotonic() - start,
-    )
+        best_prefix = max(best_prefix, cols, key=len)
+        if level.code == _ABORT:
+            witness = _cols_to_grid(f, s, best_prefix)
+            return _outcome(witness.k, witness, False, budget, start, levels)
+    return _outcome(0, PdaGrid(f=f, k=0, s=s, cells=()), True, budget, start, levels)
 
 
 def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
@@ -380,92 +363,21 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     start = time.monotonic()
     budget = _Budget(cfg)
     if k == 0:
-        return SearchOutcome(
-            optimum=0,
-            witness=PdaGrid(f=f, k=0, s=0, cells=()),
-            exhausted=True,
-            nodes_visited=0,
-            elapsed=time.monotonic() - start,
-        )
+        return _outcome(0, PdaGrid(f=f, k=0, s=0, cells=()), True, budget, start, [])
     floor_s = lower_bound_s(k, f, z).value
     if cfg.prune_with_bounds:
         floor_s = max(floor_s, recursive_lower_bound_s(k, f, z).value)
     ceiling = k * (f - z)
+    levels: list[SearchLevel] = []
     for s in range(floor_s, ceiling + 1):
-        code, cols = _feasible(f, z, s, k, budget, cfg)
-        if code == _FOUND:
-            return SearchOutcome(
-                optimum=s,
-                witness=_cols_to_grid(f, s, cols),
-                exhausted=True,
-                nodes_visited=budget.count,
-                elapsed=time.monotonic() - start,
-            )
-        if code == _ABORT:
-            return SearchOutcome(
-                optimum=ceiling,
-                witness=_trivial_grid(k, f, z),
-                exhausted=False,
-                nodes_visited=budget.count,
-                elapsed=time.monotonic() - start,
-            )
-    # Unreachable for correct bounds: the ceiling level is always feasible.
-    return SearchOutcome(
-        optimum=ceiling,
-        witness=_trivial_grid(k, f, z),
-        exhausted=True,
-        nodes_visited=budget.count,
-        elapsed=time.monotonic() - start,
-    )
-
-
-def naive_max_k(f: int, z: int, s: int) -> int:
-    """Reference oracle with no symmetry breaking: enumerate every column
-    (star set x injective symbol assignment), precompute pairwise
-    compatibility, and exhaust all column subsets.  Exponential in every
-    direction; only for cross-checking the canonical search at tiny sizes.
-    """
-    if f < 1 or not 0 <= z < f:
-        raise PdaUsageError("need F >= 1 and Z in [0, F)")
-    columns: list[tuple[Cell, ...]] = []
-    for stars in itertools.combinations(range(f), z):
-        nonstars = [r for r in range(f) if r not in stars]
-        for perm in itertools.permutations(range(s), len(nonstars)):
-            col: list[Cell] = [None] * f
-            for r, x in zip(nonstars, perm):
-                col[r] = x
-            columns.append(tuple(col))
-
-    def compatible(c1: tuple[Cell, ...], c2: tuple[Cell, ...]) -> bool:
-        for r in range(f):
-            if c1[r] is not None and c1[r] == c2[r]:
-                return False
-        for r1 in range(f):
-            x = c1[r1]
-            if x is None:
-                continue
-            for r2 in range(f):
-                if r2 != r1 and c2[r2] == x:
-                    if c1[r2] is not None or c2[r1] is not None:
-                        return False
-        return True
-
-    n = len(columns)
-    compat = [[compatible(columns[i], columns[j]) for j in range(n)] for i in range(n)]
-    best = 0
-
-    def go(start: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        for i in range(start, n):
-            if all(compat[j][i] for j in chosen):
-                chosen.append(i)
-                go(i + 1, chosen)
-                chosen.pop()
-
-    go(0, [])
-    return best
+        level, cols = _feasible(f, z, s, k, budget)
+        levels.append(replace(level, target=s))
+        if level.code == _FOUND:
+            return _outcome(s, _cols_to_grid(f, s, cols), True, budget, start, levels)
+        if level.code == _ABORT:
+            break
+    # Reached only on abort: the ceiling level is always feasible.
+    return _outcome(ceiling, _trivial_grid(k, f, z), False, budget, start, levels)
 
 
 # ---------------------------------------------------------------------------

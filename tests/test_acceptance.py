@@ -51,6 +51,7 @@ def test_criterion_2_search_certifies_the_formula():
             [(2, s) for s in range(1, 11)]
             + [(3, s) for s in range(3, 9)]
             + [(4, s) for s in range(4, 8)]
+            + [(5, 5)]
         )
         for f, s in cells:
             out = pk.max_k(f, f - 2, s, SearchConfig(time_budget=870.0))

@@ -127,6 +127,17 @@ class TestVerify:
             assert "bad token" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_non_integer_json_fields_exit_two(self):
+        for text in (
+            '{"k": "\u0661", "f": "\u0661", "s": 2, "rows": [[0]]}',
+            '{"k": 1.7, "f": 1, "s": 1, "rows": [["*"]]}',
+            '{"k": 1, "f": 1, "z": "x", "s": 1, "rows": [["*"]]}',
+        ):
+            proc = run_cli("verify", "-", stdin=text)
+            assert proc.returncode == 2, text
+            assert "must be an integer" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
 
 class TestTransform:
     def test_every_op_reads_stdin(self, tmp_path):
@@ -274,6 +285,15 @@ class TestSearch:
         )
         assert proc.returncode == 2
         assert "node budget" in proc.stderr
+
+    def test_threads_flag_is_gone(self):
+        proc = run_cli(
+            "search", "maxk", "--threads", "2", "--f", "4", "--z", "2", "--s", "4"
+        )
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
+        proc = run_cli("catalog", "--f", "3", "--s-max", "2", "--threads", "2")
+        assert proc.returncode == 2
 
 
 class TestDecompose:

@@ -1,5 +1,7 @@
 """Grid type, verifier, and transform laws."""
 
+import pickle
+
 import pytest
 
 import pdakit as pk
@@ -61,6 +63,23 @@ class TestPdaGrid:
         assert mixed.params().d == 2
         allstar = grid([[STAR, STAR]], 0)
         assert allstar.params() == pk.PdaParams(k=2, f=1, s=0, z=1, d=0)
+
+    def test_equal_grids_hash_equal(self):
+        a, b = pk.mn_pda(5, 2), pk.mn_pda(5, 2)
+        assert a is not b and a == b
+        assert "_hash" not in vars(a)  # not computed at construction
+        assert hash(a) == hash(b) == hash(a)
+        assert len({a, b, pk.mn_pda(5, 3)}) == 2
+        assert hash(a) == hash((a.f, a.k, a.s, a.cells))
+        wider = pk.PdaGrid(f=a.f, k=a.k, s=a.s + 1, cells=a.cells)
+        assert wider != a
+
+    def test_pickle_drops_the_kept_hash(self):
+        a = pk.mn_pda(4, 2)
+        hash(a)
+        b = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in vars(b)
+        assert b == a and hash(b) == hash(a)
 
     def test_unused_symbols_counted_as_zero(self):
         g = grid([[0, STAR]], 3)

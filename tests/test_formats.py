@@ -149,6 +149,21 @@ class TestJson:
             with pytest.raises(PdaFormatError, match=fragment):
                 pk.parse_json(text)
 
+    def test_integer_fields_must_be_json_integers(self):
+        cases = [
+            # Non-ASCII digits used to pass int() and give a valid 1x1 grid.
+            '{"k": "\u0661", "f": "\u0661", "s": 2, "rows": [[0]]}',
+            # A float used to be truncated to 1 and accepted.
+            '{"k": 1.7, "f": 1, "s": 1, "rows": [["*"]]}',
+            # A non-numeric Z used to escape as a ValueError.
+            '{"k": 1, "f": 1, "z": "x", "s": 1, "rows": [["*"]]}',
+            '{"k": 1, "f": 1, "s": true, "rows": [["*"]]}',
+            '{"k": 1, "f": 1, "s": "1", "rows": [["*"]]}',
+        ]
+        for text in cases:
+            with pytest.raises(PdaFormatError, match="must be an integer"):
+                pk.parse_json(text)
+
     def test_declared_z_mismatch(self):
         with pytest.raises(PdaFormatError, match="every column"):
             pk.parse_json('{"k": 1, "f": 2, "z": 2, "s": 2, "rows": [[0], [1]]}')

@@ -1,17 +1,71 @@
 """Tests for the exhaustive searches and the block extractor.
 
-Small cells exhaust in milliseconds, so the tests pin exact optima there,
-cross-check the canonical search against the no-symmetry reference oracle,
-and exercise the budget and parallel paths for soundness (never a wrong
-claim, only honest downgrades to exhausted=False).
+Small cells exhaust in milliseconds, so the tests pin exact optima there
+(including the golden table of exhausted optima), cross-check the canonical
+search against the no-symmetry reference oracle below, and exercise the
+budget paths for soundness (never a wrong claim, only honest downgrades to
+exhausted=False).
 """
 
+import dataclasses
+import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 import pdakit as pk
-from pdakit import PdaUsageError, SearchConfig
+from pdakit import Cell, PdaUsageError, SearchConfig, search
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def naive_max_k(f: int, z: int, s: int) -> int:
+    """Reference oracle with no symmetry breaking: enumerate every column
+    (star set x injective symbol assignment), precompute pairwise
+    compatibility, and exhaust all column subsets.  Exponential in every
+    direction; only for cross-checking the canonical search at tiny sizes.
+    """
+    columns: list[tuple[Cell, ...]] = []
+    for stars in itertools.combinations(range(f), z):
+        nonstars = [r for r in range(f) if r not in stars]
+        for perm in itertools.permutations(range(s), len(nonstars)):
+            col: list[Cell] = [None] * f
+            for r, x in zip(nonstars, perm):
+                col[r] = x
+            columns.append(tuple(col))
+
+    def compatible(c1: tuple[Cell, ...], c2: tuple[Cell, ...]) -> bool:
+        for r in range(f):
+            if c1[r] is not None and c1[r] == c2[r]:
+                return False
+        for r1 in range(f):
+            x = c1[r1]
+            if x is None:
+                continue
+            for r2 in range(f):
+                if r2 != r1 and c2[r2] == x:
+                    if c1[r2] is not None or c2[r1] is not None:
+                        return False
+        return True
+
+    n = len(columns)
+    compat = [[compatible(columns[i], columns[j]) for j in range(n)] for i in range(n)]
+    best = 0
+
+    def go(start: int, chosen: list[int]) -> None:
+        nonlocal best
+        if len(chosen) > best:
+            best = len(chosen)
+        for i in range(start, n):
+            if all(compat[j][i] for j in chosen):
+                chosen.append(i)
+                go(i + 1, chosen)
+                chosen.pop()
+
+    go(0, [])
+    return best
 
 
 def quick(**overrides) -> SearchConfig:
@@ -28,16 +82,15 @@ class TestSearchConfig:
             SearchConfig(time_budget=-1.0)
         with pytest.raises(PdaUsageError):
             SearchConfig(node_budget=0)
-        with pytest.raises(PdaUsageError):
-            SearchConfig(parallel_width=-1)
         for budget in (math.nan, math.inf, -math.inf):
             with pytest.raises(PdaUsageError):
                 SearchConfig(time_budget=budget)
 
     def test_defaults_are_sequential(self):
         cfg = SearchConfig()
-        assert cfg.parallel_width == 0
         assert cfg.prune_with_bounds
+        names = [fld.name for fld in dataclasses.fields(SearchConfig)]
+        assert names == ["time_budget", "node_budget", "prune_with_bounds"]
 
 
 class TestMaxK:
@@ -75,13 +128,6 @@ class TestMaxK:
         assert a.witness.cells == b.witness.cells
         assert a.nodes_visited == b.nodes_visited
 
-    def test_parallel_agrees_with_sequential(self):
-        seq = pk.max_k(4, 2, 5, quick())
-        par = pk.max_k(4, 2, 5, quick(parallel_width=2))
-        assert par.optimum == seq.optimum
-        assert par.exhausted
-        assert pk.verify(par.witness, expected_z=2).valid
-
     def test_bound_prunes_do_not_change_results(self):
         pruned = pk.max_k(4, 2, 5, quick())
         plain = pk.max_k(4, 2, 5, quick(prune_with_bounds=False))
@@ -103,8 +149,27 @@ class TestMaxK:
         assert out.optimum <= 8
 
     def test_cross_check_against_reference_oracle(self):
-        for f, z, s in [(2, 0, 4), (3, 1, 3), (3, 2, 2), (3, 1, 4)]:
-            assert pk.max_k(f, z, s, quick()).optimum == pk.naive_max_k(f, z, s)
+        # The last four cells have levels that the first-column restriction
+        # prunes (they visit fewer nodes than an unrestricted scan).
+        cells = [(2, 0, 4), (3, 1, 3), (3, 2, 2), (3, 1, 4)]
+        cells += [(4, 1, 3), (4, 1, 5), (5, 2, 3), (5, 3, 2)]
+        for f, z, s in cells:
+            assert pk.max_k(f, z, s, quick()).optimum == naive_max_k(f, z, s)
+
+    def test_reproduces_the_golden_optima(self):
+        table = json.loads((GOLDEN / "search_optima.json").read_text())
+        assert len(table["cells"]) == 107
+        for f, z, s, k in table["cells"]:
+            out = pk.max_k(f, z, s, quick())
+            assert out.exhausted, (f, z, s)
+            assert out.optimum == k, (f, z, s)
+
+    def test_first_column_stars_the_leading_rows(self):
+        for f, z, s in [(4, 1, 5), (4, 2, 5), (5, 2, 6), (5, 3, 5)]:
+            w = pk.max_k(f, z, s, quick()).witness
+            assert w.k >= 1
+            stars = [i for i, c in enumerate(w.column(0)) if c is None]
+            assert stars == list(range(z)), (f, z, s)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(PdaUsageError):
@@ -113,8 +178,6 @@ class TestMaxK:
             pk.max_k(4, 4, 3)
         with pytest.raises(PdaUsageError):
             pk.max_k(4, 2, -1)
-        with pytest.raises(PdaUsageError):
-            pk.naive_max_k(4, 5, 2)
 
 
 class TestMinS:
@@ -160,6 +223,46 @@ class TestMinS:
             pk.min_s(-1, 4, 2)
         with pytest.raises(PdaUsageError):
             pk.min_s(3, 4, 4)
+
+
+class TestLevels:
+    def test_max_k_records_each_scanned_target(self):
+        out = pk.max_k(5, 2, 8, quick())
+        assert [lv.target for lv in out.levels] == [8, 7, 6]
+        assert [lv.code for lv in out.levels] == ["exhausted", "exhausted", "found"]
+        assert sum(lv.nodes for lv in out.levels) == out.nodes_visited
+        assert [lv.deepest for lv in out.levels] == [6, 6, 6]
+        for lv in out.levels:
+            assert lv.elapsed_s >= 0
+            assert lv.cap_prunes >= 0 and lv.row_avail_prunes >= 0
+
+    def test_min_s_records_each_scanned_s(self):
+        out = pk.min_s(4, 4, 2, quick(prune_with_bounds=False))
+        assert len(out.levels) == 2
+        assert out.levels[-1].target == out.optimum
+        assert out.levels[-1].code == "found"
+        assert all(lv.code == "exhausted" for lv in out.levels[:-1])
+        targets = [lv.target for lv in out.levels]
+        assert targets == list(range(targets[0], out.optimum + 1))
+        assert sum(lv.nodes for lv in out.levels) == out.nodes_visited
+
+    def test_cap_prune_is_counted(self):
+        # max_k and min_s never ask for more columns than the symbol
+        # capacity admits, so this rule fires only on a direct call.
+        level, cols = search._feasible(4, 2, 3, 10, search._Budget(quick()))
+        assert (level.code, level.nodes, level.cap_prunes) == ("exhausted", 1, 1)
+        assert level.row_avail_prunes == 0
+        assert cols == []
+
+    def test_abort_is_the_last_level(self):
+        out = pk.max_k(4, 2, 7, quick(node_budget=10))
+        assert out.levels[-1].code == "abort"
+        assert sum(lv.nodes for lv in out.levels) == out.nodes_visited
+        assert out.optimum == max(lv.deepest for lv in out.levels)
+
+    def test_no_level_without_a_scan(self):
+        assert pk.max_k(4, 2, 0, quick()).levels == ()
+        assert pk.min_s(0, 5, 2, quick()).levels == ()
 
 
 class TestDecompose:
