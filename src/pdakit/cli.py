@@ -53,12 +53,15 @@ def _default_budget() -> float:
     return _parse_budget(env) if env else DEFAULT_BUDGET_SECONDS
 
 
+def _time_budget(args: argparse.Namespace) -> float:
+    return _parse_budget(args.budget) if args.budget else _default_budget()
+
+
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
-    budget = _parse_budget(args.budget) if args.budget else _default_budget()
-    kwargs = {"time_budget": budget}
-    if getattr(args, "nodes", None) is not None:
+    kwargs = {"time_budget": _time_budget(args)}
+    if args.nodes is not None:
         kwargs["node_budget"] = args.nodes
-    if getattr(args, "no_prune", False):
+    if args.no_prune:
         kwargs["prune_with_bounds"] = False
     return search.SearchConfig(**kwargs)
 
@@ -251,7 +254,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     grid = _read_grid(args.file)
-    cfg = _search_config(args)
+    cfg = search.SearchConfig(time_budget=_time_budget(args))
     result = search.decompose(grid, cfg)
     if result is None:
         _emit({"found": False})
@@ -335,7 +338,7 @@ def _parse_f_range(text: str) -> list[int]:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     fs = _parse_f_range(args.f)
-    budget = _parse_budget(args.budget) if args.budget else _default_budget()
+    budget = _time_budget(args)
     for f in fs:
         z = _parse_z(args.z, f)
         if f < 2 or z != f - 2:
@@ -479,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out-block")
     p.add_argument("--out-rest")
-    _add_budget_flags(p)
+    p.add_argument("--budget", help="time budget, e.g. 60s or 5m")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("simulate", help="run the induced caching scheme")

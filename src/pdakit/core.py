@@ -428,10 +428,14 @@ def replicate(grid: PdaGrid, m: int) -> PdaGrid:
     """
     if m < 0:
         raise PdaUsageError("copy count must be nonnegative")
-    out = PdaGrid(f=grid.f, k=0, s=0, cells=())
-    for _ in range(m):
-        out = concat(out, grid)
-    return out
+    k, s = grid.k, grid.s
+    cells = tuple(
+        c + t * s if c is not None else None
+        for i in range(grid.f)
+        for t in range(m)
+        for c in grid.cells[i * k : (i + 1) * k]
+    )
+    return PdaGrid(f=grid.f, k=m * k, s=m * s, cells=cells)
 
 
 def subgrid(
@@ -507,8 +511,8 @@ def canonical_form(grid: PdaGrid) -> PdaGrid:
 
     Equal normal forms certify equivalence, because only permutations are
     ever applied; unequal normal forms prove nothing, since the iteration is
-    not a complete invariant.  grids_equivalent() layers an exact search on
-    top; the normal form is its fast path and a stable display order.
+    not a complete invariant.  It is a stable display order; deciding
+    equivalence is left to grids_equivalent() and find_isomorphism().
     """
     cur = _relabel_first_use(grid)
     for _ in range(grid.f * max(grid.k, 1) + 8):
@@ -534,9 +538,10 @@ def _search_isomorphism(
     """Rows-first exact isomorphism search; see find_isomorphism.
 
     Backtracks over the row mapping as a constraint search: candidate
-    domains start from permutation-invariant row profiles and are narrowed
-    after every assignment so that pairwise non-star co-occurrence counts
-    between rows are preserved, always branching on the smallest domain.
+    domains start from permutation-invariant row profiles (the sorted column
+    profiles must match too) and are narrowed after every assignment so
+    that pairwise non-star co-occurrence counts between rows are preserved,
+    always branching on the smallest domain.
     Once all rows are mapped, columns and symbols are unified within
     star-set groups.  Spends at most node_budget row assignments and raises
     PdaUsageError when the verdict is still open at that point.
@@ -557,14 +562,17 @@ def _search_isomorphism(
     if sorted(mult1.values()) != sorted(mult2.values()):
         return None
 
-    def row_profile(g: PdaGrid, mult: dict[int, int], i: int) -> tuple:
-        row = g.row(i)
-        stars = sum(1 for c in row if c is None)
-        return (stars, tuple(sorted(mult[c] for c in row if c is not None)))
+    def profile(line: Sequence[Cell], mult: dict[int, int]) -> tuple:
+        stars = sum(1 for c in line if c is None)
+        return (stars, tuple(sorted(mult[c] for c in line if c is not None)))
 
-    prof1 = [row_profile(g1, mult1, i) for i in range(f)]
-    prof2 = [row_profile(g2, mult2, i) for i in range(f)]
+    prof1 = [profile(g1.row(i), mult1) for i in range(f)]
+    prof2 = [profile(g2.row(i), mult2) for i in range(f)]
     if sorted(prof1) != sorted(prof2):
+        return None
+    if sorted(profile(col, mult1) for col in cols1) != sorted(
+        profile(col, mult2) for col in cols2
+    ):
         return None
 
     def pair_counts(cols: list[tuple[Cell, ...]]) -> list[list[int]]:
@@ -762,9 +770,10 @@ def find_isomorphism(
 
 
 def grids_equivalent(g1: PdaGrid, g2: PdaGrid) -> bool:
-    """True exactly when g2 is a row/column/symbol relabeling of g1."""
-    if (g1.f, g1.k, g1.s) != (g2.f, g2.k, g2.s):
-        return False
-    if canonical_form(g1) == canonical_form(g2):
-        return True
+    """True exactly when g2 is a row/column/symbol relabeling of g1.
+
+    Decided by the exact search of find_isomorphism() at its default node
+    budget, so it raises PdaUsageError when that budget runs out with the
+    verdict still open.
+    """
     return find_isomorphism(g1, g2) is not None

@@ -89,16 +89,13 @@ _FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
 class SearchLevel:
     """One scanned level of a search: the K asked for by max_k, or the S
     tried by min_s.  code is "found", "exhausted" or "abort"; deepest is the
-    longest valid column prefix reached; cap_prunes and row_avail_prunes
-    count the nodes cut by the symbol-capacity and row-availability rules."""
+    longest valid column prefix reached."""
 
     target: int
     code: str
     nodes: int
     elapsed_s: float
     deepest: int
-    cap_prunes: int
-    row_avail_prunes: int
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,9 @@ def _feasible(
     sets = _star_sets(f, z)
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
-    row_fill = [0] * f
     cols: list[tuple[int, int, tuple[int, ...]]] = []
-    state = {
-        "used": 0,
-        "cap": s * (z + 1),
-        "best": 0,
-        "cap_prunes": 0,
-        "row_avail_prunes": 0,
-    }
+    used = 0  # symbols labeled so far; the next fresh symbol is `used`
+    best = 0
     best_cols: list[tuple[int, int, tuple[int, ...]]] = []
 
     def place_cells(
@@ -182,6 +173,7 @@ def _feasible(
         tight: bool,
         last_syms: tuple[int, ...],
     ) -> str:
+        nonlocal used
         if idx == len(nonstars):
             cols.append((si, mask, syms))
             code = descend(len(cols))
@@ -191,10 +183,10 @@ def _feasible(
         r = nonstars[idx]
         rbit = 1 << r
         lo = last_syms[idx] if tight else 0
-        used = state["used"]
-        for x in range(lo, used + 1):
-            if x == used:
-                if used == s:
+        top = used
+        for x in range(lo, top + 1):
+            if x == top:
+                if top == s:
                     break  # no fresh symbol left
             else:
                 if rows_of[x] & ~mask:
@@ -202,46 +194,28 @@ def _feasible(
                 if not (star_and[x] & rbit):
                     continue  # row r is not starred in some column holding x
             old_and = star_and[x]
-            fresh = x == used
-            if fresh:
-                state["used"] = used + 1
+            used = top + (x == top)
             rows_of[x] |= rbit
             star_and[x] = old_and & mask
-            row_fill[r] += 1
-            state["cap"] -= 1
             code = place_cells(
                 si, mask, nonstars, idx + 1, syms + (x,), tight and x == lo, last_syms
             )
-            state["cap"] += 1
-            row_fill[r] -= 1
             star_and[x] = old_and
             rows_of[x] &= ~rbit
-            if fresh:
-                state["used"] = used
+            used = top
             if code != _EXHAUSTED:
                 return code
         return _EXHAUSTED
 
     def descend(depth: int) -> str:
-        nonlocal best_cols
-        if depth > state["best"]:
-            state["best"] = depth
+        nonlocal best, best_cols
+        if depth > best:
+            best = depth
             best_cols = list(cols)
         if depth == target:
             return _FOUND
         if not budget.spend():
             return _ABORT
-        remaining = target - depth
-        if remaining * (f - z) > state["cap"]:
-            state["cap_prunes"] += 1
-            return _EXHAUSTED
-        avail = 0
-        for r in range(f):
-            free = s - row_fill[r]
-            avail += free if free < remaining else remaining
-        if avail < remaining * (f - z):
-            state["row_avail_prunes"] += 1
-            return _EXHAUSTED
         if cols:
             lo_si, hi_si = cols[-1][0], len(sets)
         else:
@@ -261,9 +235,7 @@ def _feasible(
         code=code,
         nodes=budget.count - start_count,
         elapsed_s=time.monotonic() - start,
-        deepest=state["best"],
-        cap_prunes=state["cap_prunes"],
-        row_avail_prunes=state["row_avail_prunes"],
+        deepest=best,
     )
     return level, (cols if code == _FOUND else best_cols)
 

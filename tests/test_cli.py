@@ -325,6 +325,13 @@ class TestDecompose:
         assert proc.returncode == 1
         assert last_json(proc.stdout) == {"found": False}
 
+    def test_takes_only_a_time_budget(self):
+        built = pk.render(pk.mn_pda(4, 2))
+        for flags in (["--nodes", "5"], ["--no-prune"]):
+            proc = run_cli("decompose", "-", *flags, stdin=built)
+            assert proc.returncode == 2, flags
+            assert flags[0] in proc.stderr
+
 
 class TestSimulate:
     def test_single_demand_vector(self):

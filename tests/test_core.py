@@ -288,6 +288,15 @@ class TestReplicate:
         rep = sorted(pk.verify(out).multiplicity.values())
         assert rep == sorted(base * m)
 
+    def test_equals_the_concat_fold(self):
+        irregular = grid([[0, STAR, 1], [STAR, 2, STAR]], s=4)  # 3 is unused
+        empty = pk.PdaGrid(f=3, k=0, s=2, cells=())
+        for g in [pk.mn_pda(4, 2), irregular, empty]:
+            fold = pk.PdaGrid(f=g.f, k=0, s=0, cells=())
+            for m in range(5):
+                assert pk.replicate(g, m) == fold, (g, m)
+                fold = pk.concat(fold, g)
+
     def test_rejects_negative(self):
         with pytest.raises(pk.PdaUsageError):
             pk.replicate(IDENTITY_2, -1)
@@ -370,6 +379,20 @@ class TestEquivalence:
         b = grid([[0, None], [None, 0]], s=2)
         assert not pk.grids_equivalent(a, b)
         assert pk.find_isomorphism(a, b) is None
+
+    def test_column_star_counts_tell_grids_apart(self):
+        # Swapping a star and a symbol inside row 0 keeps every row profile
+        # but changes two columns' star counts; the row search alone ran out
+        # of its node budget on these pairs.
+        for f, s in [(3, 15), (4, 16), (6, 12)]:
+            g = pk.symbol_dual(pk.optimal_fz2(f, s))
+            rows = [list(r) for r in g.rows()]
+            a = rows[0].index(STAR)
+            b = next(j for j, c in enumerate(rows[0]) if c is not STAR)
+            rows[0][a], rows[0][b] = rows[0][b], rows[0][a]
+            other = grid(rows, s=g.s)
+            assert pk.find_isomorphism(g, other) is None, (f, s)
+            assert not pk.grids_equivalent(g, other), (f, s)
 
     def test_canonical_form_is_equivalent_to_input(self):
         g = pk.optimal_fz2(4, 6)
