@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import PdaGrid, PdaUsageError, verify
 
@@ -96,12 +95,7 @@ def lower_bound_s_fz2(k: int, f: int) -> BoundEstimate:
     )
 
 
-def recursive_lower_bound_s(
-    k: int,
-    f: int,
-    z: int,
-    sub_bound: Callable[[int, int, int], int] | None = None,
-) -> BoundEstimate:
+def recursive_lower_bound_s(k: int, f: int, z: int) -> BoundEstimate:
     """Smallest S consistent with the column-extraction recursion.
 
     If a (K, F, Z, S)-PDA exists, some symbol reaches the average
@@ -109,17 +103,15 @@ def recursive_lower_bound_s(
     removing its t rows leaves a (t, F-t, Z+1-t, S1)-PDA that avoids the
     symbol itself, so S >= smin(t, F-t, Z+1-t) + 1.  This scans S upward
     from the sum-f bound and returns the first S not refuted, consulting
-    sub_bound (default: lower_bound_s) for the sub-problem's minimum S.
-    Candidates with t > Z+1 are impossible outright (a symbol cannot repeat
-    more than Z+1 times) and are skipped.
+    lower_bound_s for the sub-problem's minimum S.  Candidates with t > Z+1
+    are impossible outright (a symbol cannot repeat more than Z+1 times)
+    and are skipped.
 
-    The result is a certified lower bound provided sub_bound never
-    overstates the sub-problem minimum; the default never does.  Degenerate
-    sub-problems (no rows left, or all-star columns) contribute 0.
+    The result is a certified lower bound, since lower_bound_s never
+    overstates the sub-problem minimum.  Degenerate sub-problems (no rows
+    left, or all-star columns) contribute 0.
     """
     _check_kfz(k, f, z)
-    if sub_bound is None:
-        sub_bound = lambda k2, f2, z2: lower_bound_s(k2, f2, z2).value
     floor_s = lower_bound_s(k, f, z).value
     s = max(floor_s, 1)
     while True:
@@ -129,7 +121,7 @@ def recursive_lower_bound_s(
             if f2 < 1 or k2 < 1 or z2 >= f2:
                 sub = 0
             else:
-                sub = sub_bound(k2, f2, z2)
+                sub = lower_bound_s(k2, f2, z2).value
             if s >= sub + 1:
                 return BoundEstimate(
                     kind="lower_S_recursive",

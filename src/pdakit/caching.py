@@ -155,33 +155,28 @@ class _Plan:
 
 @lru_cache(maxsize=_PLAN_CACHE_ENTRIES)
 def _plan(grid: PdaGrid) -> _Plan:
-    f, k = grid.f, grid.k
-    columns = [grid.cells[u::k] for u in range(k)]
-    found: dict[int, list[tuple[int, int]]] = {}
-    for u, col in enumerate(columns):
-        for j, x in enumerate(col):
-            if x is not None:
-                found.setdefault(x, []).append((u, j))
+    k = grid.k
+    symbol_cells = grid._symbol_cells
     cells: list[tuple[int, int]] = []
     symbols: list[tuple[int, int, int]] = []
-    # (user, row) -> (its index in cells, the indices of the rest of its group)
-    where: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for x in sorted(found):
-        start, stop = len(cells), len(cells) + len(found[x])
+    # per user: (row, symbol, own index in cells, the rest of its group)
+    of_user: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in range(k)]
+    for x in sorted(symbol_cells):
+        # Row-major cells sorted stably by column: column order, rows ascending.
+        group = sorted(symbol_cells[x], key=lambda cell: cell[1])
+        start, stop = len(cells), len(cells) + len(group)
         symbols.append((x, start, stop))
-        for i, cell in enumerate(found[x], start):
-            where[cell] = (i, tuple(o for o in range(start, stop) if o != i))
-        cells.extend(found[x])
+        for i, (j, u) in enumerate(group, start):
+            of_user[u].append((j, x, i, tuple(o for o in range(start, stop) if o != i)))
+        cells.extend((u, j) for j, u in group)
     return _Plan(
         cells=tuple(cells),
         symbols=tuple(symbols),
         star_rows=tuple(
-            tuple(j for j in range(f) if col[j] is None) for col in columns
+            tuple(j for j, x in enumerate(grid.cells[u::k]) if x is None)
+            for u in range(k)
         ),
-        symbol_cells=tuple(
-            tuple((j, x, *where[u, j]) for j, x in enumerate(col) if x is not None)
-            for u, col in enumerate(columns)
-        ),
+        symbol_cells=tuple(tuple(sorted(user)) for user in of_user),
     )
 
 
@@ -304,20 +299,15 @@ def rate(grid: PdaGrid) -> Fraction:
 
 
 def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
-    """Full pipeline driver: place, deliver, decode, measure.  Only when a
-    user fails is decoding repeated to name the row and reason."""
+    """The full pipeline: place, deliver, decode, measure.  One decode
+    gives both the verdicts and the failing users' rows and reasons."""
     placement = place(grid, instance)
     broadcasts = deliver(grid, instance, placement)
-    decoded = decode(grid, instance, placement, broadcasts)
-    failures: tuple[DecodeFailure, ...] = ()
-    if not all(decoded):
-        failures = tuple(
-            f for f in _decode(grid, instance, placement, broadcasts) if f is not None
-        )
+    outcome = _decode(grid, instance, placement, broadcasts)
     return CachingTranscript(
         placement=placement,
         broadcasts=broadcasts,
-        decoded=decoded,
+        decoded=tuple([f is None for f in outcome]),
         rate=rate(grid),
-        failures=failures,
+        failures=tuple([f for f in outcome if f is not None]),
     )

@@ -340,9 +340,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     fs = _parse_f_range(args.f)
     budget = _time_budget(args)
     for f in fs:
-        z = _parse_z(args.z, f)
-        if f < 2 or z != f - 2:
+        if f < 2:
             raise PdaUsageError("catalog covers the Z = F-2 family; need F >= 2")
+        z = f - 2
         for s in range(1, args.s_max + 1):
             est = bounds_mod.conjectured_k_fz2(f, s)
             outcome = search.max_k(f, z, s, search.SearchConfig(time_budget=budget))
@@ -498,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="formula vs search table for Z = F-2")
     p.add_argument("--f", required=True, help="F or range, e.g. 2..6")
-    p.add_argument("--z", default="f-2", help="must denote F-2")
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--budget", help="per-cell search budget")
     p.set_defaults(func=_cmd_catalog)

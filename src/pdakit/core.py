@@ -20,7 +20,8 @@ this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 # A cell is either a symbol in [0, S) or a star, encoded as None.
@@ -78,21 +79,38 @@ class PdaGrid:
             if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.s:
                 raise PdaUsageError(f"cell value {c!r} outside [0, {self.s})")
 
+    # Derived values are computed on first use and kept: grids key
+    # lru_caches and are read by every layer, while building a grid stays
+    # free of any scan.
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.f, self.k, self.s, self.cells))
+
+    @cached_property
+    def _column_stars(self) -> tuple[int, ...]:
+        """Stars per column, left to right."""
+        return tuple(self.cells[j :: self.k].count(None) for j in range(self.k))
+
+    @cached_property
+    def _symbol_cells(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Each occurring symbol's cells (row, col) in row-major order, the
+        symbols in order of first occurrence.  Shared by every reader, so
+        never mutated."""
+        found: dict[int, list[tuple[int, int]]] = {}
+        k = self.k
+        for idx, c in enumerate(self.cells):
+            if c is not None:
+                found.setdefault(c, []).append(divmod(idx, k))
+        return {x: tuple(cells) for x, cells in found.items()}
+
     def __hash__(self) -> int:
-        # Computed on first use, then kept: grids key lru_caches, and the
-        # generated hash would rescan every cell on each lookup.  Building a
-        # grid stays free of the scan.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.f, self.k, self.s, self.cells))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __getstate__(self) -> dict:
-        # The kept hash is per process (None hashes by address), so it is
-        # not pickled.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # Only the fields are pickled: the kept hash is per process (None
+        # hashes by address), and the rest is recomputed on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Cell]], s: int) -> "PdaGrid":
@@ -122,32 +140,25 @@ class PdaGrid:
         return [self.cells[j :: self.k] for j in range(self.k)]
 
     def used_symbols(self) -> set[int]:
-        return {c for c in self.cells if c is not None}
+        return set(self._symbol_cells)
 
     def s_used(self) -> int:
         """Count of distinct symbols that actually occur."""
-        return len(self.used_symbols())
+        return len(self._symbol_cells)
 
     def star_counts(self) -> list[int]:
         """Stars per column, left to right."""
-        counts = [0] * self.k
-        for j in range(self.k):
-            counts[j] = sum(1 for i in range(self.f) if self.cells[i * self.k + j] is None)
-        return counts
+        return list(self._column_stars)
 
     def params(self) -> PdaParams:
-        counts = self.star_counts()
+        counts = self._column_stars
         if self.k == 0:
             z: int | None = 0
-        elif len(set(counts)) == 1:
+        elif counts.count(counts[0]) == self.k:
             z = counts[0]
         else:
             z = None
-        mult: dict[int, int] = {}
-        for c in self.cells:
-            if c is not None:
-                mult[c] = mult.get(c, 0) + 1
-        d = max(mult.values(), default=0)
+        d = max(map(len, self._symbol_cells.values()), default=0)
         return PdaParams(k=self.k, f=self.f, s=self.s, z=z, d=d)
 
 
@@ -224,55 +235,42 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     work is at most min(F, K)^2 per symbol.
     """
     f, k = grid.f, grid.k
-    violations: list[Violation] = []
+    occurrences = grid._symbol_cells
 
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for i in range(f):
-        base = i * k
-        for j in range(k):
-            c = grid.cells[base + j]
-            if c is not None:
-                occurrences.setdefault(c, []).append((i, j))
-
-    # Property 1, row and column uniqueness.
-    for i in range(f):
-        seen: dict[int, int] = {}
-        for j in range(k):
-            c = grid.cells[i * k + j]
-            if c is None:
-                continue
-            if c in seen:
-                violations.append(RowRepeat(row=i, symbol=c, col_a=seen[c], col_b=j))
-            else:
-                seen[c] = j
-    for j in range(k):
-        seen = {}
-        for i in range(f):
-            c = grid.cells[i * k + j]
-            if c is None:
-                continue
-            if c in seen:
-                violations.append(ColRepeat(col=j, symbol=c, row_a=seen[c], row_b=i))
-            else:
-                seen[c] = i
-
-    # Property 2, the star-corner condition for every equal-symbol pair in
-    # distinct rows and columns.
+    # Property 1, row and column uniqueness: each later cell of a symbol in
+    # a row (column) repeats the first one there.  Property 2, the
+    # star-corner condition, for every equal-symbol pair in distinct rows
+    # and columns.
+    row_repeats: list[RowRepeat] = []
+    col_repeats: list[ColRepeat] = []
+    corners: list[CornerViolation] = []
     for sym, occs in occurrences.items():
+        first_col: dict[int, int] = {}
+        first_row: dict[int, int] = {}
+        for i, j in occs:
+            col_a = first_col.setdefault(i, j)
+            if col_a != j:
+                row_repeats.append(RowRepeat(row=i, symbol=sym, col_a=col_a, col_b=j))
+            row_a = first_row.setdefault(j, i)
+            if row_a != i:
+                col_repeats.append(ColRepeat(col=j, symbol=sym, row_a=row_a, row_b=i))
         for (ra, ca), (rb, cb) in itertools.combinations(occs, 2):
             if ra == rb or ca == cb:
                 continue  # already reported as a repeat
             if grid.cells[ra * k + cb] is not None:
-                violations.append(
+                corners.append(
                     CornerViolation(sym, ra, ca, rb, cb, corner_row=ra, corner_col=cb)
                 )
             if grid.cells[rb * k + ca] is not None:
-                violations.append(
+                corners.append(
                     CornerViolation(sym, ra, ca, rb, cb, corner_row=rb, corner_col=ca)
                 )
+    row_repeats.sort(key=lambda v: (v.row, v.col_b))
+    col_repeats.sort(key=lambda v: (v.col, v.row_b))
+    violations: list[Violation] = [*row_repeats, *col_repeats, *corners]
 
     if expected_z is not None:
-        for j, found in enumerate(grid.star_counts()):
+        for j, found in enumerate(grid._column_stars):
             if found != expected_z:
                 violations.append(StarCountMismatch(col=j, found=found, expected=expected_z))
 
@@ -407,9 +405,9 @@ def concat(g1: PdaGrid, g2: PdaGrid) -> PdaGrid:
     """
     if g1.f != g2.f:
         raise PdaUsageError(f"row counts differ: {g1.f} != {g2.f}")
-    p1, p2 = g1.params(), g2.params()
-    if g1.k > 0 and g2.k > 0 and p1.z is not None and p2.z is not None and p1.z != p2.z:
-        raise PdaUsageError(f"column star counts differ: {p1.z} != {p2.z}")
+    z1, z2 = set(g1._column_stars), set(g2._column_stars)
+    if len(z1) == len(z2) == 1 and z1 != z2:
+        raise PdaUsageError(f"column star counts differ: {z1.pop()} != {z2.pop()}")
     f, k1, k2, shift = g1.f, g1.k, g2.k, g1.s
     cells: list[Cell] = []
     for i in range(f):
@@ -532,6 +530,10 @@ def canonical_form(grid: PdaGrid) -> PdaGrid:
     return cur
 
 
+# Row and column assignments one isomorphism query may spend.
+_ISOMORPHISM_NODES = 200_000
+
+
 def _search_isomorphism(
     g1: PdaGrid, g2: PdaGrid, node_budget: int
 ) -> tuple[list[int], list[int], list[int]] | None:
@@ -543,28 +545,21 @@ def _search_isomorphism(
     that pairwise non-star co-occurrence counts between rows are preserved,
     always branching on the smallest domain.
     Once all rows are mapped, columns and symbols are unified within
-    star-set groups.  Spends at most node_budget row assignments and raises
-    PdaUsageError when the verdict is still open at that point.
+    star-set groups.  Spends at most node_budget row and column assignments
+    and raises PdaUsageError when the verdict is still open at that point.
     """
     if (g1.f, g1.k, g1.s) != (g2.f, g2.k, g2.s):
         return None
     f, k, s = g1.f, g1.k, g1.s
     cols1, cols2 = g1.columns(), g2.columns()
 
-    def multiplicities(g: PdaGrid) -> dict[int, int]:
-        mult: dict[int, int] = {}
-        for c in g.cells:
-            if c is not None:
-                mult[c] = mult.get(c, 0) + 1
-        return mult
-
-    mult1, mult2 = multiplicities(g1), multiplicities(g2)
+    mult1 = {x: len(cells) for x, cells in g1._symbol_cells.items()}
+    mult2 = {x: len(cells) for x, cells in g2._symbol_cells.items()}
     if sorted(mult1.values()) != sorted(mult2.values()):
         return None
 
     def profile(line: Sequence[Cell], mult: dict[int, int]) -> tuple:
-        stars = sum(1 for c in line if c is None)
-        return (stars, tuple(sorted(mult[c] for c in line if c is not None)))
+        return (line.count(None), tuple(sorted(mult[c] for c in line if c is not None)))
 
     prof1 = [profile(g1.row(i), mult1) for i in range(f)]
     prof2 = [profile(g2.row(i), mult2) for i in range(f)]
@@ -612,6 +607,12 @@ def _search_isomorphism(
 
     rho = [-1] * f
     nodes_left = node_budget
+
+    def spend() -> None:
+        nonlocal nodes_left
+        if nodes_left <= 0:
+            raise PdaUsageError("equivalence search exceeded its node budget")
+        nodes_left -= 1
 
     def unify_columns() -> tuple[list[int], list[int]] | None:
         groups1: dict[frozenset[int], list[int]] = {}
@@ -663,6 +664,7 @@ def _search_isomorphism(
             key = frozenset(rho[i] for i, c in enumerate(cols1[j1]) if c is None)
             candidates = free2[key]
             for idx, j2 in enumerate(candidates):
+                spend()
                 added = try_pair(j1, j2)
                 if added is None:
                     continue
@@ -684,7 +686,6 @@ def _search_isomorphism(
         return gamma, [sigma[c] for c in range(s)]
 
     def place_rows(domains: list[int], unassigned: list[int]) -> tuple[list[int], list[int]] | None:
-        nonlocal nodes_left
         if not unassigned:
             return unify_columns()
         i = min(unassigned, key=lambda row: domains[row].bit_count())
@@ -694,12 +695,7 @@ def _search_isomorphism(
             low = candidates & -candidates
             candidates ^= low
             r2 = low.bit_length() - 1
-            if nodes_left <= 0:
-                raise PdaUsageError(
-                    "equivalence search exceeded its node budget; "
-                    "raise node_budget to keep going"
-                )
-            nodes_left -= 1
+            spend()
             rho[i] = r2
             masks = count_masks[r2]
             narrowed: list[int] = []
@@ -728,7 +724,7 @@ def _search_isomorphism(
 
 
 def find_isomorphism(
-    g1: PdaGrid, g2: PdaGrid, node_budget: int = 200_000
+    g1: PdaGrid, g2: PdaGrid
 ) -> tuple[list[int], list[int], list[int]] | None:
     """Explicit equivalence witness: permutations (row, column, symbol) with
     permute(g1, row_perm, col_perm, sym_perm) == g2, or None if none exists.
@@ -739,8 +735,8 @@ def find_isomorphism(
     moves commute with permute, so the search runs in whichever orientation
     puts the smallest role on the row axis and the witness converts back
     exactly.  The search is exact but exponential in the worst case; it
-    spends at most node_budget row assignments and raises PdaUsageError
-    when the verdict is still open at that point.
+    spends at most _ISOMORPHISM_NODES row and column assignments and raises
+    PdaUsageError when the verdict is still open at that point.
     """
     if (g1.f, g1.k, g1.s) != (g2.f, g2.k, g2.s):
         return None
@@ -757,23 +753,22 @@ def find_isomorphism(
         except PdaUsageError:
             duals = None
     if mode == "transpose":
-        found = _search_isomorphism(transpose(g1), transpose(g2), node_budget)
+        found = _search_isomorphism(transpose(g1), transpose(g2), _ISOMORPHISM_NODES)
         if found is None:
             return None
         return found[1], found[0], found[2]
     if mode == "dual" and duals is not None:
-        found = _search_isomorphism(duals[0], duals[1], node_budget)
+        found = _search_isomorphism(duals[0], duals[1], _ISOMORPHISM_NODES)
         if found is None:
             return None
         return found[2], found[1], found[0]
-    return _search_isomorphism(g1, g2, node_budget)
+    return _search_isomorphism(g1, g2, _ISOMORPHISM_NODES)
 
 
 def grids_equivalent(g1: PdaGrid, g2: PdaGrid) -> bool:
     """True exactly when g2 is a row/column/symbol relabeling of g1.
 
-    Decided by the exact search of find_isomorphism() at its default node
-    budget, so it raises PdaUsageError when that budget runs out with the
+    Decided by the exact search of find_isomorphism(), so it raises PdaUsageError when that budget runs out with the
     verdict still open.
     """
     return find_isomorphism(g1, g2) is not None

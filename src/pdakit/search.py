@@ -391,17 +391,12 @@ def decompose(
         raise PdaUsageError("premise violated: S = mF + r needs m > F - r - d")
 
     # Column-partnership graph over the two non-star symbols per column.
-    pair_of: list[tuple[int, int]] = []
     partners: dict[int, set[int]] = {}
-    cols_of: dict[int, list[int]] = {}
     for j in range(k):
         syms = [c for c in grid.column(j) if c is not None]
         a, b = syms  # exactly two, by Z = F-2 regularity
-        pair_of.append((a, b))
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
-        cols_of.setdefault(a, []).append(j)
-        cols_of.setdefault(b, []).append(j)
 
     full = {x for x in range(s) if report.multiplicity[x] == f - 1}
     seen: set[int] = set()
@@ -424,7 +419,7 @@ def decompose(
         seen |= comp
         if not closed or len(comp) != f:
             continue
-        block_cols = sorted({j for x in comp for j in cols_of.get(x, [])})
+        block_cols = sorted({j for x in comp for _, j in grid._symbol_cells[x]})
         if len(block_cols) != f * (f - 1) // 2:
             continue
         rest_cols = [j for j in range(k) if j not in set(block_cols)]

@@ -143,16 +143,6 @@ class TestRecursiveLowerBoundS:
                 if p.k >= 1:
                     assert pk.recursive_lower_bound_s(p.k, p.f, p.z).value <= p.s
 
-    def test_custom_sub_bound_is_consulted(self):
-        calls = []
-
-        def sub(k2, f2, z2):
-            calls.append((k2, f2, z2))
-            return pk.lower_bound_s(k2, f2, z2).value
-
-        pk.recursive_lower_bound_s(6, 4, 2, sub_bound=sub)
-        assert calls, "sub-problem bound was never consulted"
-
 
 class TestUpperBoundK:
     def test_hand_values(self):

@@ -1,10 +1,12 @@
 """Grid type, verifier, and transform laws."""
 
 import pickle
+import random
 
 import pytest
 
 import pdakit as pk
+from pdakit import core
 
 STAR = pk.STAR
 
@@ -77,9 +79,13 @@ class TestPdaGrid:
     def test_pickle_drops_the_kept_hash(self):
         a = pk.mn_pda(4, 2)
         hash(a)
+        a.params()
+        kept = {"_hash", "_column_stars", "_symbol_cells"}
+        assert kept <= set(vars(a))  # the hash and the census are kept
         b = pickle.loads(pickle.dumps(a))
-        assert "_hash" not in vars(b)
+        assert not kept & set(vars(b))
         assert b == a and hash(b) == hash(a)
+        assert b.params() == a.params()
 
     def test_unused_symbols_counted_as_zero(self):
         g = grid([[0, STAR]], 3)
@@ -393,6 +399,20 @@ class TestEquivalence:
             other = grid(rows, s=g.s)
             assert pk.find_isomorphism(g, other) is None, (f, s)
             assert not pk.grids_equivalent(g, other), (f, s)
+
+    def test_column_phase_spends_the_node_budget(self):
+        # Three rows leave at most 3! row maps; nearly all the work of this
+        # pair is column and symbol unification, which must be bounded too.
+        g = pk.optimal_fz2(3, 23)
+        rng = random.Random(22)
+        rp, cp, sp = list(range(g.f)), list(range(g.k)), list(range(g.s))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        rng.shuffle(sp)
+        h = pk.permute(g, row_perm=rp, col_perm=cp, sym_perm=sp)
+        assert pk.find_isomorphism(g, h) is not None
+        with pytest.raises(pk.PdaUsageError):
+            core._search_isomorphism(g, h, 5)
 
     def test_canonical_form_is_equivalent_to_input(self):
         g = pk.optimal_fz2(4, 6)
