@@ -276,6 +276,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = _read_grid(args.pda)
     if (args.demands is None) == (not args.all_demands):
         raise PdaUsageError("give exactly one of --demands or --all-demands")
+    if args.files < 1:
+        raise PdaUsageError("need at least one file")
     if args.all_demands:
         total = args.files**grid.k
         if total > 1_000_000:

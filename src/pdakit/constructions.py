@@ -116,14 +116,22 @@ class ConstructionRecipe:
 
     @classmethod
     def from_json(cls, source: str | dict[str, Any]) -> "ConstructionRecipe":
-        obj = json.loads(source) if isinstance(source, str) else source
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise PdaUsageError("recipe must be an object with a name")
-        return cls(
-            name=str(obj["name"]),
-            params={str(k): int(v) for k, v in obj.get("params", {}).items()},
-            children=tuple(cls.from_json(c) for c in obj.get("children", [])),
-        )
+        """Parse JSON text or a decoded object; malformed input raises PdaUsageError."""
+        if isinstance(source, str):
+            try:
+                source = json.loads(source)
+            except json.JSONDecodeError as exc:
+                raise PdaUsageError(f"recipe is not JSON: {exc}") from None
+        if not isinstance(source, dict) or not isinstance(source.get("name"), str):
+            raise PdaUsageError("recipe must be an object with a string name")
+        params = source.get("params", {})
+        if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
+            raise PdaUsageError("recipe params must be an object of integers")
+        children = source.get("children", [])
+        if not isinstance(children, list):
+            raise PdaUsageError("recipe children must be a list")
+        children = tuple(map(cls.from_json, children))
+        return cls(source["name"], {str(k): v for k, v in params.items()}, children)
 
 
 def _need(recipe: ConstructionRecipe, *keys: str) -> list[int]:

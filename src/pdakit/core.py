@@ -1,4 +1,4 @@
-"""Grid type, verifier, and transforms for placement delivery arrays.
+"""Grid type, verifier, transforms and canonical labeling for PDAs.
 
 A placement delivery array (PDA) is an F x K grid whose cells hold either a
 star or an integer symbol drawn from [0, S).  Two properties make the grid a
@@ -13,6 +13,9 @@ each symbol names one coded broadcast.  A grid is column-regular when every
 column carries the same number Z of stars; those are the (K, F, Z, S) arrays
 of the caching literature, but irregular grids are first-class here.
 
+Equivalence, being a row, column and symbol relabeling, is decided by one
+canonical labeling per grid, computed on first use and kept.
+
 Everything is 0-indexed and exact-integer; there is no floating point in
 this module.
 """
@@ -20,6 +23,7 @@ this module.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -103,6 +107,11 @@ class PdaGrid:
             if c is not None:
                 found.setdefault(c, []).append(divmod(idx, k))
         return {x: tuple(cells) for x, cells in found.items()}
+
+    @cached_property
+    def _canonical(self) -> tuple["PdaGrid", list[int]]:
+        """See _canonical_labeling."""
+        return _canonical_labeling(self)
 
     def __hash__(self) -> int:
         return self._hash
@@ -475,252 +484,248 @@ def subgrid(
 
 
 # ---------------------------------------------------------------------------
-# Canonical form
+# Canonical labeling
 
 
-def column_key(col: Sequence[Cell]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sort key for columns: star positions first, then the symbol tuple."""
-    stars = tuple(i for i, c in enumerate(col) if c is None)
-    syms = tuple(c for c in col if c is not None)
-    return (stars, syms)
+class _Node:
+    """A node of the labeling's search tree: the equitable partition reached
+    by individualising prefix, its target cell, and the cell's orbits under
+    the automorphisms found so far that fix prefix.  on_first marks the
+    nodes of the first path, the path of first children from the root."""
+
+    def __init__(self, part, prefix: frozenset[int], start: int, on_first: bool) -> None:
+        self.part, self.prefix, self.start, self.on_first = part, prefix, start, on_first
+        self.cell = part[0][start : part[2][start]]
+        self.untried = iter(self.cell)
+        self.orbit = {v: v for v in self.cell}  # union-find
+        self.tried: set[int] = set()  # roots of the orbits already searched
+        self.seen = 0  # automorphisms folded into orbit
+        self.first = None  # the first child's partition
+
+    def _root(self, v: int) -> int:
+        while self.orbit[v] != v:
+            self.orbit[v] = v = self.orbit[self.orbit[v]]
+        return v
+
+    def next_child(self, automorphisms: list[dict[int, int]]) -> int | None:
+        """The next cell member in no orbit searched so far."""
+        for gamma in automorphisms[self.seen :]:
+            if self.prefix.isdisjoint(gamma):
+                for a, b in gamma.items():
+                    if a in self.orbit and (ra := self._root(a)) != (rb := self._root(b)):
+                        self.orbit[rb] = ra
+                        if rb in self.tried:
+                            self.tried.add(ra)
+        self.seen = len(automorphisms)
+        for v in self.untried:
+            if (root := self._root(v)) not in self.tried:
+                self.tried.add(root)
+                return v
+        return None
 
 
-def _row_key(row: Sequence[Cell]) -> tuple[int, ...]:
-    return tuple(-1 if c is None else c for c in row)
+def _canonical_labeling(
+    grid: PdaGrid, known: PdaGrid | None = None
+) -> tuple[PdaGrid, list[int]]:
+    """The canonical grid, and the vertices in their canonical order: rows
+    are vertices 0..F-1, columns F..F+K-1 and symbols F+K..F+K+S-1, and
+    each kind keeps its range, so the vertex at position i of the order
+    becomes row, column or symbol i, offset by kind.
 
+    The grid is read as a 3-partite hypergraph: each non-star cell is a
+    (row, column, symbol) triple, and a relabeling of the grid is exactly a
+    kind-preserving isomorphism.  The labeling is individualisation-
+    refinement (McKay & Piperno, "Practical graph isomorphism, II",
+    J. Symb. Comp. 2014).  Colours are refined until every vertex meets
+    each colour class equally often; then a member of the first
+    non-singleton class is individualised, and every branch ends in a
+    discrete colouring, that is, an ordering of the vertices.  The
+    canonical grid is the smallest grid any leaf gives.  A branch is
+    skipped when an automorphism found so far, fixing the branch's prefix,
+    maps it onto a branch already searched.  Automorphisms come from two
+    leaves giving the same grid (a leaf equal to the first leaf also sends
+    the search back to where its path left the first path), and from a
+    guess tried before each sibling: members shared by the two children's
+    colour classes stay put, the rest pair off in the order of the first
+    leaf, and the guess is kept when it maps the triples onto themselves.
+    Vertices in no triple (all-star rows and columns, unused symbols) take
+    the last positions of their kind without branching.
 
-def _relabel_first_use(grid: PdaGrid) -> PdaGrid:
-    """Renumber symbols in row-major first-occurrence order; unused symbols
-    take the leftover labels in ascending old order."""
-    mapping: dict[int, int] = {}
-    for c in grid.cells:
-        if c is not None and c not in mapping:
-            mapping[c] = len(mapping)
-    for old in range(grid.s):
-        if old not in mapping:
-            mapping[old] = len(mapping)
-    perm = [mapping[old] for old in range(grid.s)]
-    return permute(grid, sym_perm=perm) if grid.s else grid
+    known is the canonical grid of another grid, or None.  A leaf that
+    gives exactly known ends the search: known is then a relabeling of
+    this grid, so the two share every leaf grid and their smallest one.
+
+    Worst case: individualisation-refinement takes time exponential in the
+    grid size on Cai-Furer-Immerman-type structures, where refinement
+    separates nothing and no automorphism prunes; none occurs in the test
+    corpus.  The search keeps its own stack, so a deep tree (one level per
+    copy in a replicated grid) costs memory, not Python frames.
+    """
+    f, k, s = grid.f, grid.k, grid.s
+    col0, sym0, n = f, f + k, f + k + s
+    triples = [(i, col0 + j, sym0 + x) for x, cells in grid._symbol_cells.items() for i, j in cells]
+    adj: list[list[int]] = [[] for _ in range(n)]  # the other members, once per triple
+    through: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for t in triples:
+        r, c, x = t
+        adj[r] += (c, x)
+        adj[c] += (r, x)
+        adj[x] += (r, c)
+        for v in t:
+            through[v].append(t)
+
+    def kind(v: int) -> int:
+        return (v >= col0) + (v >= sym0)
+
+    # A partition is (lab, cell_of, cell_end): the vertices in colour order,
+    # each vertex's cell by start position, and each cell's end by start.
+    def split(part, c: int, key) -> list[tuple[int, int]]:
+        """Order cell c by key and cut it where the key changes; returns
+        the fragments as (start, end)."""
+        lab, cell_of, cell_end = part
+        e = cell_end[c]
+        members = sorted(lab[c:e], key=key)
+        keys = list(map(key, members))
+        if keys[0] == keys[-1]:
+            return [(c, e)]
+        lab[c:e] = members
+        bounds = [c, *(i for i in range(c + 1, e) if keys[i - c] != keys[i - c - 1]), e]
+        for a, b in zip(bounds, bounds[1:]):
+            cell_end[a] = b
+            for u in lab[a:b]:
+                cell_of[u] = a
+        return list(zip(bounds, bounds[1:]))
+
+    def refine(part, queue: list[int]) -> None:
+        """Split cells by how often their members meet the cells in queue,
+        all at once, then use the new fragments the same way, until nothing
+        splits.  Members are ordered by their meetings with the queue in
+        queue order, so the result depends on cell positions only."""
+        lab, cell_of, cell_end = part
+        while queue:
+            met = defaultdict(list)  # queue indices, once per meeting
+            for j, w in enumerate(queue):
+                for v in lab[w : cell_end[w]]:
+                    for u in adj[v]:
+                        met[u].append(j)
+            queue = []
+            for c in sorted(set(map(cell_of.__getitem__, met))):
+                if cell_end[c] - c > 1:
+                    fragments = split(part, c, met.__getitem__)
+                    if len(fragments) > 1:
+                        # c was equitable before; the largest fragment's
+                        # meetings follow from the others'.
+                        fragments.remove(max(fragments, key=lambda ab: ab[1] - ab[0]))
+                        queue += [a for a, _ in fragments]
+            queue.sort()
+
+    def target(part, i: int) -> int | None:
+        """Start of the first non-singleton cell at or after position i."""
+        lab, _, cell_end = part
+        while i < len(lab):
+            if cell_end[i] - i > 1:
+                return i
+            i = cell_end[i]
+        return None
+
+    def individualise(part, start: int, v: int):
+        part = (part[0][:], part[1][:], part[2][:])
+        split(part, start, v.__ne__)
+        refine(part, [start])
+        return part
+
+    def guess(pa, pb, i: int) -> dict[int, int] | None:
+        """The permutation taking each cell of pa onto the same positions of
+        pb, as the vertices it moves, if it is an automorphism; else None.
+        Both refine one partition whose cells before position i are
+        singletons."""
+        (lab_a, _, end_a), (lab_b, _, end_b) = pa, pb
+        gamma: dict[int, int] = {}
+        while i < len(lab_a):
+            e = end_a[i]
+            if end_b[i] != e:
+                return None
+            if lab_a[i:e] != lab_b[i:e]:
+                a, b = set(lab_a[i:e]), set(lab_b[i:e])
+                by_leaf = leaf_at.__getitem__
+                gamma.update(zip(sorted(a - b, key=by_leaf), sorted(b - a, key=by_leaf)))
+            i = e
+        image = list(range(n))
+        for a, b in gamma.items():
+            image[a] = b
+        # Triples away from the moved vertices stay where they are.
+        moved = (t for w in gamma for t in through[w])
+        cells = grid.cells
+        ok = all(cells[image[r] * k + image[c] - col0] == image[x] - sym0 for r, c, x in moved)
+        return gamma if gamma and ok else None
+
+    def certificate(lab: list[int]) -> tuple[tuple[int, ...], list[int]]:
+        """The grid a leaf's ordering gives, stars as -1, and each vertex's
+        position in lab.  Rows, then columns, then symbols take the
+        positions of lab."""
+        at = [0] * n
+        for i, v in enumerate(lab):
+            at[v] = i
+        cells = [-1] * (f * k)
+        for r, c, x in triples:
+            cells[at[r] * k + at[c] - n_rows] = at[x] - n_rows - n_cols
+        return tuple(cells), at
+
+    lab = [v for v in range(n) if adj[v]]
+    n_rows, n_cols = sum(v < col0 for v in lab), sum(col0 <= v < sym0 for v in lab)
+    root = (lab, [0] * n, [len(lab)] * len(lab))
+    if lab:
+        refine(root, [a for a, _ in split(root, 0, kind)])
+    first = best = None
+    start = target(root, 0)
+    stack = [] if start is None else [_Node(root, frozenset(), start, True)]
+    automorphisms: list[dict[int, int]] = []
+    known_cert = None if known is None else tuple(-1 if c is None else c for c in known.cells)
+    while stack:
+        node = stack[-1]
+        v = node.next_child(automorphisms)
+        if v is None:
+            stack.pop()
+            continue
+        part = individualise(node.part, node.start, v)
+        if node.first is None:
+            node.first = part
+        elif gamma := guess(node.first, part, node.start):
+            automorphisms.append(gamma)
+            continue
+        start = target(part, node.start)
+        if start is not None:
+            on_first = node.on_first and node.first is part
+            stack.append(_Node(part, node.prefix | {v}, start, on_first))
+            continue
+        cert, at = certificate(part[0])
+        if cert == known_cert:
+            best = (cert, part[0])
+            break
+        if first is None:
+            first = best = (cert, part[0])
+            leaf_at = at  # read by guess, which runs only after the first leaf
+        elif cert == first[0] or cert == best[0]:
+            same = first if cert == first[0] else best
+            automorphisms.append({a: b for a, b in zip(same[1], part[0]) if a != b})
+            if same is first:
+                while not stack[-1].on_first:
+                    stack.pop()
+        elif cert < best[0]:
+            best = (cert, part[0])
+    cert, order = best or (certificate(lab)[0], lab)
+    order = sorted(order + [v for v in range(n) if not adj[v]], key=kind)
+    return PdaGrid(f=f, k=k, s=s, cells=tuple(None if c < 0 else c for c in cert)), order
 
 
 def canonical_form(grid: PdaGrid) -> PdaGrid:
-    """Cheap normal form: iterate column sort by (star set, symbols), row
-    sort, first-use symbol renumbering, to a fixpoint (capped to stay total).
+    """The canonical representative of the grid's equivalence class.
 
-    Equal normal forms certify equivalence, because only permutations are
-    ever applied; unequal normal forms prove nothing, since the iteration is
-    not a complete invariant.  It is a stable display order; deciding
-    equivalence is left to grids_equivalent() and find_isomorphism().
+    Two grids of the same shape have equal canonical forms exactly when one
+    is a row/column/symbol relabeling of the other.  The form is computed
+    once per grid and kept; see _canonical_labeling for how.
     """
-    cur = _relabel_first_use(grid)
-    for _ in range(grid.f * max(grid.k, 1) + 8):
-        cols = sorted(cur.columns(), key=column_key)
-        resorted = PdaGrid(
-            f=cur.f,
-            k=cur.k,
-            s=cur.s,
-            cells=tuple(cols[j][i] for i in range(cur.f) for j in range(cur.k)),
-        )
-        rows = sorted(resorted.rows(), key=_row_key)
-        resorted = PdaGrid.from_rows(rows, s=cur.s)
-        nxt = _relabel_first_use(resorted)
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
-
-
-# Row and column assignments one isomorphism query may spend.
-_ISOMORPHISM_NODES = 200_000
-
-
-def _search_isomorphism(
-    g1: PdaGrid, g2: PdaGrid, node_budget: int
-) -> tuple[list[int], list[int], list[int]] | None:
-    """Rows-first exact isomorphism search; see find_isomorphism.
-
-    Backtracks over the row mapping as a constraint search: candidate
-    domains start from permutation-invariant row profiles (the sorted column
-    profiles must match too) and are narrowed after every assignment so
-    that pairwise non-star co-occurrence counts between rows are preserved,
-    always branching on the smallest domain.
-    Once all rows are mapped, columns and symbols are unified within
-    star-set groups.  Spends at most node_budget row and column assignments
-    and raises PdaUsageError when the verdict is still open at that point.
-    """
-    if (g1.f, g1.k, g1.s) != (g2.f, g2.k, g2.s):
-        return None
-    f, k, s = g1.f, g1.k, g1.s
-    cols1, cols2 = g1.columns(), g2.columns()
-
-    mult1 = {x: len(cells) for x, cells in g1._symbol_cells.items()}
-    mult2 = {x: len(cells) for x, cells in g2._symbol_cells.items()}
-    if sorted(mult1.values()) != sorted(mult2.values()):
-        return None
-
-    def profile(line: Sequence[Cell], mult: dict[int, int]) -> tuple:
-        return (line.count(None), tuple(sorted(mult[c] for c in line if c is not None)))
-
-    prof1 = [profile(g1.row(i), mult1) for i in range(f)]
-    prof2 = [profile(g2.row(i), mult2) for i in range(f)]
-    if sorted(prof1) != sorted(prof2):
-        return None
-    if sorted(profile(col, mult1) for col in cols1) != sorted(
-        profile(col, mult2) for col in cols2
-    ):
-        return None
-
-    def pair_counts(cols: list[tuple[Cell, ...]]) -> list[list[int]]:
-        nonstar = [[col[i] is not None for col in cols] for i in range(f)]
-        counts = [[0] * f for _ in range(f)]
-        for a in range(f):
-            row_a = nonstar[a]
-            for b in range(a + 1, f):
-                row_b = nonstar[b]
-                c = sum(1 for x, y in zip(row_a, row_b) if x and y)
-                counts[a][b] = counts[b][a] = c
-        return counts
-
-    pairs1 = pair_counts(cols1)
-    pairs2 = pair_counts(cols2)
-
-    # For forward checking: rows of g2 grouped by their pair count against a
-    # fixed g2 row, as bitmasks.
-    count_masks: list[dict[int, int]] = []
-    for r2 in range(f):
-        masks: dict[int, int] = {}
-        for other in range(f):
-            if other != r2:
-                value = pairs2[r2][other]
-                masks[value] = masks.get(value, 0) | (1 << other)
-        count_masks.append(masks)
-
-    initial: list[int] = []
-    for i in range(f):
-        mask = 0
-        for r2 in range(f):
-            if prof2[r2] == prof1[i]:
-                mask |= 1 << r2
-        if not mask:
-            return None
-        initial.append(mask)
-
-    rho = [-1] * f
-    nodes_left = node_budget
-
-    def spend() -> None:
-        nonlocal nodes_left
-        if nodes_left <= 0:
-            raise PdaUsageError("equivalence search exceeded its node budget")
-        nodes_left -= 1
-
-    def unify_columns() -> tuple[list[int], list[int]] | None:
-        groups1: dict[frozenset[int], list[int]] = {}
-        for j, col in enumerate(cols1):
-            key = frozenset(rho[i] for i, c in enumerate(col) if c is None)
-            groups1.setdefault(key, []).append(j)
-        groups2: dict[frozenset[int], list[int]] = {}
-        for j, col in enumerate(cols2):
-            key = frozenset(i for i, c in enumerate(col) if c is None)
-            groups2.setdefault(key, []).append(j)
-        if set(groups1) != set(groups2):
-            return None
-        if any(len(groups1[key]) != len(groups2[key]) for key in groups1):
-            return None
-
-        order = [j for key in sorted(groups1, key=sorted) for j in groups1[key]]
-        gamma = [-1] * k
-        sigma: dict[int, int] = {}
-        sigma_back: dict[int, int] = {}
-
-        def try_pair(j1: int, j2: int) -> list[tuple[int, int]] | None:
-            added: list[tuple[int, int]] = []
-            for i, c in enumerate(cols1[j1]):
-                if c is None:
-                    continue
-                image = cols2[j2][rho[i]]
-                if image is None:
-                    return _undo(added)
-                if sigma.get(c, image) != image or sigma_back.get(image, c) != c:
-                    return _undo(added)
-                if c not in sigma:
-                    sigma[c] = image
-                    sigma_back[image] = c
-                    added.append((c, image))
-            return added
-
-        def _undo(added: list[tuple[int, int]]) -> None:
-            for c, image in added:
-                del sigma[c]
-                del sigma_back[image]
-            return None
-
-        free2 = {key: list(groups2[key]) for key in groups2}
-
-        def assign(pos: int) -> bool:
-            if pos == len(order):
-                return True
-            j1 = order[pos]
-            key = frozenset(rho[i] for i, c in enumerate(cols1[j1]) if c is None)
-            candidates = free2[key]
-            for idx, j2 in enumerate(candidates):
-                spend()
-                added = try_pair(j1, j2)
-                if added is None:
-                    continue
-                gamma[j1] = j2
-                del candidates[idx]
-                if assign(pos + 1):
-                    return True
-                candidates.insert(idx, j2)
-                gamma[j1] = -1
-                _undo(added)
-            return False
-
-        if not assign(0):
-            return None
-        leftover1 = sorted(set(range(s)) - set(sigma))
-        leftover2 = sorted(set(range(s)) - set(sigma_back))
-        for c, image in zip(leftover1, leftover2):
-            sigma[c] = image
-        return gamma, [sigma[c] for c in range(s)]
-
-    def place_rows(domains: list[int], unassigned: list[int]) -> tuple[list[int], list[int]] | None:
-        if not unassigned:
-            return unify_columns()
-        i = min(unassigned, key=lambda row: domains[row].bit_count())
-        rest = [row for row in unassigned if row != i]
-        candidates = domains[i]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            r2 = low.bit_length() - 1
-            spend()
-            rho[i] = r2
-            masks = count_masks[r2]
-            narrowed: list[int] = []
-            feasible = True
-            for other in rest:
-                nd = domains[other] & masks.get(pairs1[i][other], 0)
-                if not nd:
-                    feasible = False
-                    break
-                narrowed.append(nd)
-            if feasible:
-                new_domains = list(domains)
-                for other, nd in zip(rest, narrowed):
-                    new_domains[other] = nd
-                result = place_rows(new_domains, rest)
-                if result is not None:
-                    return result
-            rho[i] = -1
-        return None
-
-    result = place_rows(initial, list(range(f)))
-    if result is None:
-        return None
-    gamma, sym_perm = result
-    return list(rho), gamma, sym_perm
+    return grid._canonical[0]
 
 
 def find_isomorphism(
@@ -729,46 +734,28 @@ def find_isomorphism(
     """Explicit equivalence witness: permutations (row, column, symbol) with
     permute(g1, row_perm, col_perm, sym_perm) == g2, or None if none exists.
 
-    The underlying search branches on the row mapping, so it is fastest
-    when rows are the smallest of the three roles.  Rows and columns swap
-    under transpose, rows and symbols swap under the symbol dual, and both
-    moves commute with permute, so the search runs in whichever orientation
-    puts the smallest role on the row axis and the witness converts back
-    exactly.  The search is exact but exponential in the worst case; it
-    spends at most _ISOMORPHISM_NODES row and column assignments and raises
-    PdaUsageError when the verdict is still open at that point.
+    The witness is g1's canonical labeling followed by the inverse of g2's:
+    the vertices at equal positions of the two canonical orders.
     """
-    if (g1.f, g1.k, g1.s) != (g2.f, g2.k, g2.s):
+    if not grids_equivalent(g1, g2):
         return None
-    f, k, s = g1.f, g1.k, g1.s
-    rows_after = f
-    mode = "direct"
-    if 1 <= k < rows_after:
-        mode, rows_after = "transpose", k
-    duals: tuple[PdaGrid, PdaGrid] | None = None
-    if 1 <= s < rows_after:
-        try:
-            duals = (symbol_dual(g1), symbol_dual(g2))
-            mode = "dual"
-        except PdaUsageError:
-            duals = None
-    if mode == "transpose":
-        found = _search_isomorphism(transpose(g1), transpose(g2), _ISOMORPHISM_NODES)
-        if found is None:
-            return None
-        return found[1], found[0], found[2]
-    if mode == "dual" and duals is not None:
-        found = _search_isomorphism(duals[0], duals[1], _ISOMORPHISM_NODES)
-        if found is None:
-            return None
-        return found[2], found[1], found[0]
-    return _search_isomorphism(g1, g2, _ISOMORPHISM_NODES)
+    f, k = g1.f, g1.k
+    w = [0] * (f + k + g1.s)
+    for a, b in zip(g1._canonical[1], g2._canonical[1]):
+        w[a] = b
+    return w[:f], [c - f for c in w[f : f + k]], [x - f - k for x in w[f + k :]]
 
 
 def grids_equivalent(g1: PdaGrid, g2: PdaGrid) -> bool:
-    """True exactly when g2 is a row/column/symbol relabeling of g1.
-
-    Decided by the exact search of find_isomorphism(), so it raises PdaUsageError when that budget runs out with the
-    verdict still open.
-    """
-    return find_isomorphism(g1, g2) is not None
+    """True exactly when g2 is a row/column/symbol relabeling of g1, that
+    is, when the shapes and the canonical forms agree.  The column star
+    counts, a relabeling invariant the census already holds, are compared
+    first, so most inequivalent pairs need no labeling."""
+    if (g1.f, g1.k, g1.s, sorted(g1._column_stars)) != (g2.f, g2.k, g2.s, sorted(g2._column_stars)):
+        return False
+    canon = g1._canonical[0]
+    if "_canonical" not in vars(g2):
+        # Kept as g2's own labeling: a search that stops on reaching canon
+        # has found g2's canonical leaf.
+        g2.__dict__["_canonical"] = _canonical_labeling(g2, canon)
+    return g2._canonical[0] == canon

@@ -398,6 +398,16 @@ class TestSimulate:
         )
         assert short.returncode == 2
 
+    def test_all_demands_needs_a_file(self):
+        built = run_cli("construct", "mn", "--f", "3", "--z", "1").stdout
+        for files in ("0", "-1"):
+            proc = run_cli(
+                "simulate", "--pda", "-", "--files", files, "--all-demands", stdin=built
+            )
+            assert proc.returncode == 2, files
+            assert proc.stdout == "", files
+            assert "need at least one file" in proc.stderr, files
+
 
 class TestCatalog:
     def test_formula_and_search_agree_at_small_sizes(self):

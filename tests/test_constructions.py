@@ -148,3 +148,19 @@ class TestRecipes:
             pk.ConstructionRecipe.from_json("[]")
         with pytest.raises(pk.PdaUsageError):
             pk.evaluate_recipe(pk.ConstructionRecipe(name="mn", params={"f": 4}))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '{"name": "mn", "params": [1]}',
+            '{"name": "replicate", "params": {"m": 2}, "children": 5}',
+            "[1",
+            '{"name": "mn", "params": {"f": 1.7, "z": 0}}',
+            '{"name": "mn", "params": {"f": true, "z": 0}}',
+            '{"name": "mn", "params": {"f": "4", "z": 2}}',
+            '{"name": 5}',
+        ],
+    )
+    def test_malformed_json_is_a_usage_error(self, source):
+        with pytest.raises(pk.PdaUsageError):
+            pk.ConstructionRecipe.from_json(source)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 import pdakit as pk
-from pdakit import core
 
 STAR = pk.STAR
 
@@ -16,6 +15,15 @@ def grid(rows, s):
 
 
 IDENTITY_2 = grid([[STAR, 0], [0, STAR]], 1)
+
+
+def relabeled(g, rng):
+    """g under row, column and symbol shuffles drawn from rng, in that order."""
+    rp, cp, sp = list(range(g.f)), list(range(g.k)), list(range(g.s))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    rng.shuffle(sp)
+    return pk.permute(g, row_perm=rp, col_perm=cp, sym_perm=sp)
 
 
 class TestPdaGrid:
@@ -80,12 +88,14 @@ class TestPdaGrid:
         a = pk.mn_pda(4, 2)
         hash(a)
         a.params()
-        kept = {"_hash", "_column_stars", "_symbol_cells"}
+        pk.canonical_form(a)
+        kept = {"_hash", "_column_stars", "_symbol_cells", "_canonical"}
         assert kept <= set(vars(a))  # the hash and the census are kept
         b = pickle.loads(pickle.dumps(a))
         assert not kept & set(vars(b))
         assert b == a and hash(b) == hash(a)
         assert b.params() == a.params()
+        assert pk.canonical_form(b) == pk.canonical_form(a)
 
     def test_unused_symbols_counted_as_zero(self):
         g = grid([[0, STAR]], 3)
@@ -400,19 +410,28 @@ class TestEquivalence:
             assert pk.find_isomorphism(g, other) is None, (f, s)
             assert not pk.grids_equivalent(g, other), (f, s)
 
-    def test_column_phase_spends_the_node_budget(self):
-        # Three rows leave at most 3! row maps; nearly all the work of this
-        # pair is column and symbol unification, which must be bounded too.
-        g = pk.optimal_fz2(3, 23)
-        rng = random.Random(22)
-        rp, cp, sp = list(range(g.f)), list(range(g.k)), list(range(g.s))
-        rng.shuffle(rp)
-        rng.shuffle(cp)
-        rng.shuffle(sp)
-        h = pk.permute(g, row_perm=rp, col_perm=cp, sym_perm=sp)
-        assert pk.find_isomorphism(g, h) is not None
-        with pytest.raises(pk.PdaUsageError):
-            core._search_isomorphism(g, h, 5)
+    def test_witness_for_copies_beside_a_tail(self):
+        # Two copies of mn(8, 6) beside a dual tail: many alike rows and
+        # columns, and many automorphisms.
+        g = pk.optimal_fz2(8, 22)
+        h = relabeled(g, random.Random(24))
+        witness = pk.find_isomorphism(g, h)
+        assert witness is not None
+        assert pk.permute(g, *witness) == h
+
+    def test_witness_for_a_large_grid(self):
+        # 1716 columns and 1716 symbols: no part of the answer may take a
+        # Python frame per column, symbol or tree level.
+        g = pk.mn_pda(13, 6)
+        h = relabeled(g, random.Random(13))
+        witness = pk.find_isomorphism(g, h)
+        assert witness is not None
+        assert pk.permute(g, *witness) == h
+
+    def test_canonical_form_is_a_relabeling_invariant(self, corpus):
+        rng = random.Random(606)
+        for name, g in corpus[::11]:
+            assert pk.canonical_form(relabeled(g, rng)) == pk.canonical_form(g), name
 
     def test_canonical_form_is_equivalent_to_input(self):
         g = pk.optimal_fz2(4, 6)
