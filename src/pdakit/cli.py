@@ -340,6 +340,8 @@ def _parse_f_range(text: str) -> list[int]:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     fs = _parse_f_range(args.f)
+    if args.s_max < 1:
+        raise PdaUsageError("--s-max must be at least 1")
     budget = _time_budget(args)
     for f in fs:
         if f < 2:
@@ -373,7 +375,11 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", help="time budget, e.g. 60s or 5m")
-    p.add_argument("--nodes", type=int, help="node budget")
+    p.add_argument(
+        "--nodes",
+        type=int,
+        help="node budget: column placements, or hole subsets placed when Z = F-2",
+    )
     p.add_argument(
         "--no-prune", action="store_true", help="disable certified bound pruning"
     )

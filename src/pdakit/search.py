@@ -36,6 +36,34 @@ the star-corner condition over all pairs, and they subsume row/column
 uniqueness, so every node of the tree is a valid grid and every leaf at
 depth K is a witness.
 
+Z = F-2 cells take a board path instead.  Put rows on one axis and symbols
+on the other; a hole is a board cell (r, x) where symbol x misses row r.
+A Z = F-2 column holds two cells (r1, x1) and (r2, x2), and the two PDA
+properties say exactly that its anti-corners (r1, x2) and (r2, x1) are
+holes (which forces r1 != r2 and x1 != x2).  A symbol occurs at most once
+per row, so each occupied cell lies in exactly one column: a K-column grid
+is a perfect matching of the occupied cells in the graph joining two cells
+whose anti-corners are holes, and any matching of any hole set is a valid
+grid.  The search enumerates hole sets and tests each with Edmonds'
+blossom matching.  Its arguments:
+
+* hole count: K columns occupy 2K cells, so the target fixes the number of
+  holes at h = F*S - 2K;
+* one hole per symbol: if x fills every row, no cell of x has a partner,
+  so each used symbol misses a row; an unused symbol is all holes.  Hence
+  each symbol takes a hole subset of size 1..F, and h < S refutes;
+* symbol break: relabeling symbols permutes the subsets, so they are
+  taken in non-decreasing order (by size, then mask), and a prefix is cut
+  when the remaining symbols cannot absorb the remaining holes;
+* row break: relabeling rows permutes the rows' hole counts, so the counts
+  must be non-increasing; since they only grow, a prefix is cut when
+  raising each row to the largest count below it needs more holes than are
+  left.  Both breaks hold at once: sort the rows by hole count, then sort
+  the symbols, which leaves the row counts alone.
+
+A board-path node is one placed hole subset.  The witness's rows are
+relabeled so that its first column stars rows 0..Z-1.
+
 max_k scans target K downward from the certified cap, min_s scans S upward
 from the certified floor; exhausted outcomes are exact, budget-bounded ones
 degrade to honest witnessed bounds.  Each scanned level is recorded in
@@ -63,12 +91,13 @@ from .core import Cell, PdaGrid, PdaUsageError, verify
 class SearchConfig:
     """Budgets and strategy knobs for the exhaustive searches.
 
-    time_budget is wall seconds, node_budget counts column placements;
-    whichever runs out first aborts the search.  The clock is read on the
-    first node and then every 1024 nodes, so a time abort lands within 1024
-    nodes of the deadline.  prune_with_bounds turns on the certified bound
-    prunes (they never change results, only work).  The search is
-    sequential and bit-for-bit deterministic.
+    time_budget is wall seconds, node_budget counts column placements (hole
+    subsets placed, for Z = F-2); whichever runs out first aborts the
+    search, and nodes_visited never exceeds node_budget.  The clock is read
+    on the first node and then every 1024 nodes, so a time abort lands
+    within 1024 nodes of the deadline.  prune_with_bounds turns on the
+    certified bound prunes (they never change results, only work).  The
+    search is sequential and bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
@@ -89,7 +118,8 @@ _FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
 class SearchLevel:
     """One scanned level of a search: the K asked for by max_k, or the S
     tried by min_s.  code is "found", "exhausted" or "abort"; deepest is the
-    longest valid column prefix reached."""
+    longest valid column prefix reached, or for Z = F-2 the largest
+    matching seen."""
 
     target: int
     code: str
@@ -121,17 +151,15 @@ class _Budget:
         self.deadline = time.monotonic() + cfg.time_budget
         self.cap = cfg.node_budget
         self.count = 0
-        self.expired = False
 
     def spend(self) -> bool:
-        if self.expired:
+        """Count one node, or refuse it (and every later one) once the cap
+        or the deadline is reached; a refused node is not counted."""
+        if self.count >= self.cap or (
+            self.count & 1023 == 0 and time.monotonic() > self.deadline
+        ):
             return False
         self.count += 1
-        if self.count > self.cap or (
-            self.count & 1023 == 1 and time.monotonic() > self.deadline
-        ):
-            self.expired = True
-            return False
         return True
 
 
@@ -150,19 +178,18 @@ def _star_sets(f: int, z: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def _feasible(
     f: int, z: int, s: int, target: int, budget: _Budget
-) -> tuple[SearchLevel, list[tuple[int, int, tuple[int, ...]]]]:
-    """One feasibility run for target >= 1.  Returns (level, cols): on
-    success cols is the witness as a list of (star-set index, star mask,
-    symbol tuple), otherwise the deepest valid prefix reached (a witness
-    for its own length)."""
+) -> tuple[SearchLevel, PdaGrid]:
+    """One feasibility run for target >= 1.  Returns (level, grid): the
+    witness on success, otherwise the deepest valid prefix reached (a
+    witness for its own length)."""
     start, start_count = time.monotonic(), budget.count
     sets = _star_sets(f, z)
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
-    cols: list[tuple[int, int, tuple[int, ...]]] = []
+    cols: list[tuple[int, tuple[int, ...]]] = []  # (star-set index, symbols)
     used = 0  # symbols labeled so far; the next fresh symbol is `used`
     best = 0
-    best_cols: list[tuple[int, int, tuple[int, ...]]] = []
+    best_cols: list[tuple[int, tuple[int, ...]]] = []
 
     def place_cells(
         si: int,
@@ -175,7 +202,7 @@ def _feasible(
     ) -> str:
         nonlocal used
         if idx == len(nonstars):
-            cols.append((si, mask, syms))
+            cols.append((si, syms))
             code = descend(len(cols))
             if code != _FOUND:
                 cols.pop()
@@ -223,7 +250,7 @@ def _feasible(
         for si in range(lo_si, hi_si):
             mask, nonstars = sets[si]
             tight = bool(cols) and si == lo_si
-            last_syms = cols[-1][2] if tight else ()
+            last_syms = cols[-1][1] if tight else ()
             code = place_cells(si, mask, nonstars, 0, (), tight, last_syms)
             if code != _EXHAUSTED:
                 return code
@@ -237,18 +264,199 @@ def _feasible(
         elapsed_s=time.monotonic() - start,
         deepest=best,
     )
-    return level, (cols if code == _FOUND else best_cols)
+    chosen = cols if code == _FOUND else best_cols
+    columns = [zip(sets[si][1], syms) for si, syms in chosen]
+    return level, _columns_to_grid(f, s, columns)
 
 
-def _cols_to_grid(f: int, s: int, cols) -> PdaGrid:
-    cells: list[Cell] = [None] * (f * len(cols))
-    k = len(cols)
-    for j, (_, mask, syms) in enumerate(cols):
-        it = iter(syms)
-        for r in range(f):
-            if not (mask >> r) & 1:
-                cells[r * k + j] = next(it)
+def _columns_to_grid(f: int, s: int, columns) -> PdaGrid:
+    """The grid whose column j holds the (row, symbol) cells columns[j]."""
+    k = len(columns)
+    cells: list[Cell] = [None] * (f * k)
+    for j, column in enumerate(columns):
+        for r, x in column:
+            cells[r * k + j] = x
     return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+
+
+def _max_matching(adj: list[list[int]]) -> list[int]:
+    """Maximum matching of an undirected graph given as adjacency lists, by
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965): from
+    each exposed vertex grow an alternating tree, shrink each odd cycle
+    into its base, and flip the first augmenting path.  A vertex with no
+    augmenting path never gains one later, so one pass over the vertices
+    suffices.  Returns mate[v], -1 when exposed."""
+    n = len(adj)
+    mate = [-1] * n
+
+    def common_base(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        parent = [-1] * n
+        base = list(range(n))
+        outer = [False] * n
+        outer[root] = True
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for u in adj[v]:
+                if base[v] == base[u] or mate[v] == u:
+                    continue
+                if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
+                    b = common_base(v, u)
+                    blossom: set[int] = set()
+                    mark(v, b, u, blossom)
+                    mark(u, b, v, blossom)
+                    for i in range(n):
+                        if base[i] in blossom:
+                            base[i] = b
+                            if not outer[i]:
+                                outer[i] = True
+                                queue.append(i)
+                elif parent[u] == -1:
+                    parent[u] = v
+                    if mate[u] == -1:
+                        while u != -1:  # flip the augmenting path
+                            v = parent[u]
+                            u_next = mate[v]
+                            mate[u], mate[v] = v, u
+                            u = u_next
+                        queue.clear()
+                        break
+                    outer[mate[u]] = True
+                    queue.append(mate[u])
+    return mate
+
+
+_Pair = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _board_pairs(f: int, s: int, holes: list[int]) -> list[_Pair] | None:
+    """A maximum set of columns on the board whose holes are holes[x] (the
+    rows missing symbol x, as a bitmask): each column is a pair of occupied
+    board cells (row, symbol) whose two anti-corners are holes.  None when
+    some occupied cell has no partner at all."""
+    full = (1 << f) - 1
+    for h1 in holes:
+        # (r1, x1)'s partners lie in symbols x2 with a hole at r1 and a cell
+        # in some hole row of x1.
+        reach = 0
+        for h2 in holes:
+            if h1 & ~h2:
+                reach |= h2
+        if full & ~h1 & ~reach:
+            return None
+    ids = [[-1] * f for _ in range(s)]
+    cells: list[tuple[int, int]] = []
+    for x in range(s):
+        for r in range(f):
+            if not (holes[x] >> r) & 1:
+                ids[x][r] = len(cells)
+                cells.append((r, x))
+    adj: list[list[int]] = []
+    for r1, x1 in cells:
+        partners = []
+        for x2 in range(s):
+            if (holes[x2] >> r1) & 1:
+                rows = holes[x1] & ~holes[x2]
+                while rows:
+                    low = rows & -rows
+                    partners.append(ids[x2][low.bit_length() - 1])
+                    rows ^= low
+        adj.append(partners)
+    mate = _max_matching(adj)
+    return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
+
+
+def _board_feasible(
+    f: int, z: int, s: int, target: int, budget: _Budget
+) -> tuple[SearchLevel, PdaGrid]:
+    """One board run for Z = F-2 and target >= 1: enumerate hole sets of
+    F*S - 2*target holes up to row and symbol relabeling and look for a
+    perfect matching of the occupied cells.  Returns (level, grid): the
+    witness on success, otherwise the largest matching seen (a valid grid
+    of its own size)."""
+    start, start_count = time.monotonic(), budget.count
+    full = (1 << f) - 1
+    holes = [0] * s
+    row_holes = [0] * f
+    best: list[_Pair] = []
+
+    def leaf() -> str:
+        nonlocal best
+        pairs = _board_pairs(f, s, holes)
+        if pairs is None:
+            return _EXHAUSTED
+        if len(pairs) > len(best):
+            best = pairs
+        return _FOUND if len(pairs) == target else _EXHAUSTED
+
+    def place(x: int, size: int, mask: int, left: int) -> str:
+        # Row break: every row must reach the largest hole count below it.
+        need = top = 0
+        for count in reversed(row_holes):
+            top = max(top, count)
+            need += top - count
+        if need > left:
+            return _EXHAUSTED
+        rem = s - x
+        if rem == 0:
+            return leaf()
+        # Later symbols take subsets no smaller than this one, at most F each.
+        for sz in range(max(size, left - f * (rem - 1)), min(f, left // rem) + 1):
+            m = mask if sz == size else (1 << sz) - 1
+            while m <= full:
+                if not budget.spend():
+                    return _ABORT
+                holes[x] = m
+                for r in range(f):
+                    row_holes[r] += (m >> r) & 1
+                code = place(x + 1, sz, m, left - sz)
+                for r in range(f):
+                    row_holes[r] -= (m >> r) & 1
+                if code != _EXHAUSTED:
+                    return code
+                low = m & -m  # next mask of the same size (Gosper)
+                m = (((m + low) ^ m) >> 2) // low | (m + low)
+        return _EXHAUSTED
+
+    code = place(0, 1, 1, f * s - 2 * target)
+    if best:
+        # Row symmetry: move the first column's two rows to F-2 and F-1.
+        (a, _), (b, _) = best[0]
+        order = [r for r in range(f) if r not in (a, b)] + [a, b]
+        new = {old: i for i, old in enumerate(order)}
+        best = [((new[r1], x1), (new[r2], x2)) for (r1, x1), (r2, x2) in best]
+    level = SearchLevel(
+        target=target,
+        code=code,
+        nodes=budget.count - start_count,
+        elapsed_s=time.monotonic() - start,
+        deepest=len(best),
+    )
+    return level, _columns_to_grid(f, s, best)
 
 
 def _outcome(
@@ -291,20 +499,18 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     cap = upper_bound_k(f, z, s).value
     if cfg.prune_with_bounds and z == f - 2 and f >= 3 and s >= 1:
         cap = min(cap, pjd_max_k(f, s).value)
+    feasible = _board_feasible if z == f - 2 else _feasible
     levels: list[SearchLevel] = []
-    best_prefix: list = []
+    best = PdaGrid(f=f, k=0, s=s, cells=())
     for target in range(cap, 0, -1):
-        level, cols = _feasible(f, z, s, target, budget)
+        level, grid = feasible(f, z, s, target, budget)
         levels.append(level)
         if level.code == _FOUND:
-            return _outcome(
-                target, _cols_to_grid(f, s, cols), True, budget, start, levels
-            )
-        best_prefix = max(best_prefix, cols, key=len)
+            return _outcome(target, grid, True, budget, start, levels)
+        best = max(best, grid, key=lambda g: g.k)
         if level.code == _ABORT:
-            witness = _cols_to_grid(f, s, best_prefix)
-            return _outcome(witness.k, witness, False, budget, start, levels)
-    return _outcome(0, PdaGrid(f=f, k=0, s=s, cells=()), True, budget, start, levels)
+            return _outcome(best.k, best, False, budget, start, levels)
+    return _outcome(0, best, True, budget, start, levels)
 
 
 def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
@@ -340,12 +546,13 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     if cfg.prune_with_bounds:
         floor_s = max(floor_s, recursive_lower_bound_s(k, f, z).value)
     ceiling = k * (f - z)
+    feasible = _board_feasible if z == f - 2 else _feasible
     levels: list[SearchLevel] = []
     for s in range(floor_s, ceiling + 1):
-        level, cols = _feasible(f, z, s, k, budget)
+        level, grid = feasible(f, z, s, k, budget)
         levels.append(replace(level, target=s))
         if level.code == _FOUND:
-            return _outcome(s, _cols_to_grid(f, s, cols), True, budget, start, levels)
+            return _outcome(s, grid, True, budget, start, levels)
         if level.code == _ABORT:
             break
     # Reached only on abort: the ceiling level is always feasible.

@@ -286,6 +286,16 @@ class TestSearch:
         assert proc.returncode == 2
         assert "node budget" in proc.stderr
 
+    def test_node_count_stays_within_the_cap(self):
+        for z in ("3", "2"):
+            proc = run_cli(
+                "search", "maxk", "--f", "5", "--z", z, "--s", "7", "--nodes", "1000"
+            )
+            assert proc.returncode == 0
+            obj = last_json(proc.stdout)
+            assert obj["exhausted"] is False
+            assert obj["nodes"] == 1000
+
     def test_threads_flag_is_gone(self):
         proc = run_cli(
             "search", "maxk", "--threads", "2", "--f", "4", "--z", "2", "--s", "4"
@@ -429,6 +439,13 @@ class TestCatalog:
     def test_bad_range_exits_two(self):
         proc = run_cli("catalog", "--f", "6..2", "--s-max", "3")
         assert proc.returncode == 2
+
+    def test_s_max_below_one_exits_two(self):
+        for s_max in ("0", "-1"):
+            proc = run_cli("catalog", "--f", "3", "--s-max", s_max)
+            assert proc.returncode == 2, s_max
+            assert proc.stdout == "", s_max
+            assert "--s-max" in proc.stderr, s_max
 
 
 class TestHelp:

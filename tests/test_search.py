@@ -11,12 +11,13 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
 import pdakit as pk
-from pdakit import Cell, PdaUsageError, SearchConfig
+from pdakit import Cell, PdaUsageError, SearchConfig, search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,7 +159,7 @@ class TestMaxK:
 
     def test_reproduces_the_golden_optima(self):
         table = json.loads((GOLDEN / "search_optima.json").read_text())
-        assert len(table["cells"]) == 107
+        assert len(table["cells"]) == 111
         for f, z, s, k in table["cells"]:
             out = pk.max_k(f, z, s, quick())
             assert out.exhausted, (f, z, s)
@@ -251,12 +252,36 @@ class TestLevels:
         # when every optimum stays the same.
         cases = [
             (pk.max_k(5, 2, 8, quick()), [(8, 17837), (7, 17837), (6, 3012)]),
-            (pk.max_k(4, 2, 5, quick()), [(7, 1044), (6, 316)]),
             (pk.max_k(5, 2, 6, quick()), [(6, 398), (5, 398), (4, 5)]),
-            (pk.min_s(10, 5, 3, quick()), [(5, 17207)]),
+            # Z = F-2: the board path, one node per placed hole subset.
+            (pk.max_k(4, 2, 5, quick()), [(7, 157), (6, 262)]),
+            (pk.min_s(10, 5, 3, quick()), [(5, 58)]),
+            (pk.max_k(5, 3, 7, quick()), [(13, 3495), (12, 18211)]),
         ]
         for out, expected in cases:
             assert [(lv.target, lv.nodes) for lv in out.levels] == expected
+        # The column search on the same Z = F-2 levels, called directly.
+        for (f, z, s), expected in [
+            ((4, 2, 5), [(7, 1044), (6, 316)]),
+            ((5, 3, 5), [(10, 17207)]),
+        ]:
+            budget = search._Budget(quick())
+            got = [search._feasible(f, z, s, t, budget)[0] for t, _ in expected]
+            assert [(lv.target, lv.nodes) for lv in got] == expected
+
+    def test_node_cap_is_never_exceeded(self):
+        # The node the cap refuses is not counted, on either path.
+        for f, z, s in [(5, 3, 7), (5, 2, 8)]:
+            for cap in (1, 7, 1000):
+                out = pk.max_k(f, z, s, quick(node_budget=cap))
+                assert not out.exhausted, (f, z, s, cap)
+                assert out.nodes_visited == cap
+                assert sum(lv.nodes for lv in out.levels) == cap
+        for k, f, z in [(8, 5, 3), (10, 5, 2)]:
+            out = pk.min_s(k, f, z, quick(node_budget=100))
+            assert not out.exhausted, (k, f, z)
+            assert out.nodes_visited == 100
+            assert sum(lv.nodes for lv in out.levels) == 100
 
     def test_abort_is_the_last_level(self):
         out = pk.max_k(4, 2, 7, quick(node_budget=10))
@@ -267,6 +292,46 @@ class TestLevels:
     def test_no_level_without_a_scan(self):
         assert pk.max_k(4, 2, 0, quick()).levels == ()
         assert pk.min_s(0, 5, 2, quick()).levels == ()
+
+
+class TestBoardPath:
+    def test_agrees_with_the_column_search_level_by_level(self):
+        # Every Z = F-2 golden cell that the column search exhausts within
+        # 20,000 nodes: at each level the board path scans, both searches
+        # must find a grid or both must exhaust.
+        table = json.loads((GOLDEN / "search_optima.json").read_text())
+        compared = 0
+        for f, z, s, _ in table["cells"]:
+            if z != f - 2:
+                continue
+            board = pk.max_k(f, z, s, quick())
+            budget = search._Budget(quick(node_budget=20_000))
+            targets = [lv.target for lv in board.levels]
+            column = [search._feasible(f, z, s, t, budget)[0].code for t in targets]
+            if "abort" in column:
+                continue
+            assert column == [lv.code for lv in board.levels], (f, s)
+            compared += 1
+        assert compared == 28
+
+    def test_budget_binds_on_hostile_shapes(self):
+        for (f, z, s), cfg in [
+            ((40, 38, 2), SearchConfig(node_budget=5)),
+            ((5, 3, 7), SearchConfig(time_budget=1e-9)),
+        ]:
+            start = time.perf_counter()
+            out = pk.max_k(f, z, s, cfg)
+            assert time.perf_counter() - start < 1.0, (f, z, s)
+            assert not out.exhausted
+            assert out.nodes_visited <= cfg.node_budget
+            assert out.witness.k == out.optimum
+            assert pk.verify(out.witness, expected_z=z).valid
+
+    def test_abort_witness_is_the_largest_matching(self):
+        out = pk.max_k(5, 3, 7, quick(node_budget=3000))
+        assert not out.exhausted
+        assert out.optimum == max(lv.deepest for lv in out.levels) >= 1
+        assert pk.verify(out.witness, expected_z=3).valid
 
 
 class TestDecompose:
