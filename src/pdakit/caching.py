@@ -126,11 +126,10 @@ class CachingTranscript:
 def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
     """Deterministic pseudo-random content, as a size-byte big-endian int."""
     base = f"pda-sim:{seed}:{file}:{subfile}".encode()
-    out = b""
-    counter = 0
-    while len(out) < size:
-        out += hashlib.sha256(base + b":%d" % counter).digest()
-        counter += 1
+    out = b"".join(
+        hashlib.sha256(base + b":%d" % counter).digest()
+        for counter in range(-(-size // 32))
+    )
     return int.from_bytes(out[:size], "big")
 
 

@@ -61,8 +61,6 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     kwargs = {"time_budget": _time_budget(args)}
     if args.nodes is not None:
         kwargs["node_budget"] = args.nodes
-    if args.no_prune:
-        kwargs["prune_with_bounds"] = False
     return search.SearchConfig(**kwargs)
 
 
@@ -107,18 +105,12 @@ def _csv_ints(text: str) -> list[int]:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "mn":
-        recipe = constructions.ConstructionRecipe("mn", {"f": args.f, "z": args.z})
+        grid = constructions.mn_pda(args.f, args.z)
     elif args.kind == "f2":
-        recipe = constructions.ConstructionRecipe("f2_base", {"s": args.s})
+        grid = constructions.f2_base(args.s)
     else:
-        recipe = constructions.optimal_fz2_recipe(args.f, args.s)
-    grid = constructions.evaluate_recipe(recipe)
-    if args.recipe:
-        print(recipe.to_json())
-        if args.out:
-            _write_grid(grid, args.out, args.json)
-    else:
-        _write_grid(grid, args.out, args.json)
+        grid = constructions.optimal_fz2(args.f, args.s)
+    _write_grid(grid, args.out, args.json)
     return 0
 
 
@@ -380,9 +372,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         help="node budget: column placements, or hole subsets placed when Z = F-2",
     )
-    p.add_argument(
-        "--no-prune", action="store_true", help="disable certified bound pruning"
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,9 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_f2.add_argument("--s", type=int, required=True)
     for q in (p_mn, p_opt, p_f2):
         _add_out_flags(q)
-        q.add_argument(
-            "--recipe", action="store_true", help="print the construction recipe JSON"
-        )
         q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check the PDA properties")

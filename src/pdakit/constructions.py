@@ -11,24 +11,19 @@ Three generators:
 * f2_base(s): the two-row base case, floor(S/2) columns of disjoint symbol
   pairs and no stars.
 
-* optimal_fz2(f, s): the Z = F-2 family.  Recursive construction achieving
-  K = (F-1)(S-1)/2 + (gcd(F,S)-1)/2, built from mn copies, the two-row
-  base, symbol duality, and concatenation.  For F <= 6 this K is known to
-  be the maximum; for larger F it is the best known general value.
-
-optimal_fz2 grids come with a ConstructionRecipe, an evaluable expression
-tree that records exactly how the grid was assembled; evaluate_recipe
-replays it.
+* optimal_fz2(f, s): the Z = F-2 family, a direct recursion on S = mF + r
+  that concatenates m mn copies with a tail, the symbol dual of a smaller
+  member of the family or of the two-row base.  Achieves
+  K = (F-1)(S-1)/2 + (gcd(F,S)-1)/2.  For F <= 6 this K is known to be the
+  maximum; for larger F it is the best known general value.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
 
+from .bounds import split_mf_r
 from .core import PdaGrid, PdaUsageError, concat, replicate, symbol_dual
 
 # ---------------------------------------------------------------------------
@@ -86,110 +81,18 @@ def f2_base(s: int) -> PdaGrid:
 
 
 # ---------------------------------------------------------------------------
-# Recipes
-
-
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    """Expression tree over the generators and transforms.
-
-    name is one of mn, f2_base, optimal_fz2, replicate, concat, dual.
-    Leaves (mn, f2_base, optimal_fz2) carry their shape parameters;
-    replicate carries m, concat carries the common row count f and an
-    optional pad_s of extra unused symbols appended to the symbol space.
-    """
-
-    name: str
-    params: dict[str, int] = field(default_factory=dict)
-    children: tuple["ConstructionRecipe", ...] = ()
-
-    def to_json(self) -> str:
-        return json.dumps(self._to_obj(), separators=(", ", ": "))
-
-    def _to_obj(self) -> dict[str, Any]:
-        obj: dict[str, Any] = {"name": self.name}
-        if self.params:
-            obj["params"] = dict(self.params)
-        if self.children:
-            obj["children"] = [c._to_obj() for c in self.children]
-        return obj
-
-    @classmethod
-    def from_json(cls, source: str | dict[str, Any]) -> "ConstructionRecipe":
-        """Parse JSON text or a decoded object; malformed input raises PdaUsageError."""
-        if isinstance(source, str):
-            try:
-                source = json.loads(source)
-            except json.JSONDecodeError as exc:
-                raise PdaUsageError(f"recipe is not JSON: {exc}") from None
-        if not isinstance(source, dict) or not isinstance(source.get("name"), str):
-            raise PdaUsageError("recipe must be an object with a string name")
-        params = source.get("params", {})
-        if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
-            raise PdaUsageError("recipe params must be an object of integers")
-        children = source.get("children", [])
-        if not isinstance(children, list):
-            raise PdaUsageError("recipe children must be a list")
-        children = tuple(map(cls.from_json, children))
-        return cls(source["name"], {str(k): v for k, v in params.items()}, children)
-
-
-def _need(recipe: ConstructionRecipe, *keys: str) -> list[int]:
-    try:
-        return [recipe.params[k] for k in keys]
-    except KeyError as exc:
-        raise PdaUsageError(f"recipe {recipe.name} missing parameter {exc}") from None
-
-
-def evaluate_recipe(recipe: ConstructionRecipe) -> PdaGrid:
-    """Replay a recipe tree into a grid."""
-    if recipe.name == "mn":
-        f, z = _need(recipe, "f", "z")
-        return mn_pda(f, z)
-    if recipe.name == "f2_base":
-        (s,) = _need(recipe, "s")
-        return f2_base(s)
-    if recipe.name == "optimal_fz2":
-        f, s = _need(recipe, "f", "s")
-        return optimal_fz2(f, s)
-    if recipe.name == "replicate":
-        if len(recipe.children) != 1:
-            raise PdaUsageError("replicate takes exactly one child")
-        (m,) = _need(recipe, "m")
-        return replicate(evaluate_recipe(recipe.children[0]), m)
-    if recipe.name == "dual":
-        if len(recipe.children) != 1:
-            raise PdaUsageError("dual takes exactly one child")
-        return symbol_dual(evaluate_recipe(recipe.children[0]))
-    if recipe.name == "concat":
-        (f,) = _need(recipe, "f")
-        pad = recipe.params.get("pad_s", 0)
-        out = PdaGrid(f=f, k=0, s=0, cells=())
-        for child in recipe.children:
-            out = concat(out, evaluate_recipe(child))
-        if pad:
-            out = concat(out, PdaGrid(f=f, k=0, s=pad, cells=()))
-        return out
-    raise PdaUsageError(f"unknown recipe name {recipe.name!r}")
-
-
-# ---------------------------------------------------------------------------
 # The Z = F-2 family
 
 
-def _rep(child: ConstructionRecipe, m: int) -> ConstructionRecipe:
-    return child if m == 1 else ConstructionRecipe("replicate", {"m": m}, (child,))
-
-
-def optimal_fz2_recipe(f: int, s: int) -> ConstructionRecipe:
-    """Recipe for the K = (F-1)(S-1)/2 + (gcd(F,S)-1)/2 grid with Z = F-2.
+def optimal_fz2(f: int, s: int) -> PdaGrid:
+    """The K = (F-1)(S-1)/2 + (gcd(F,S)-1)/2 grid with Z = F-2.
 
     Write S = mF + r with 1 <= r <= F.  The grid is m disjoint copies of
-    mn(F, F-2) (each spends F symbols for F(F-1)/2 columns) plus a tail for
-    the remainder:
+    mn(F, F-2) (each spends F symbols for F(F-1)/2 columns) followed by a
+    tail for the remainder:
 
     * r = F: one more mn copy;
-    * r = 1: one spare symbol, never used (pad);
+    * r = 1: one spare symbol, never used;
     * 2 <= r < F: the symbol dual of the (r, 2-nonstar, F) grid, which is an
       (K', F, F-2, r) grid; the r <-> F swap makes the recursion terminate.
 
@@ -201,30 +104,13 @@ def optimal_fz2_recipe(f: int, s: int) -> ConstructionRecipe:
     if s < 1:
         raise PdaUsageError("S must be at least 1")
     if f == 2:
-        return ConstructionRecipe("f2_base", {"s": s})
-    m, r = divmod(s, f)
-    if r == 0:
-        m, r = m - 1, f
+        return f2_base(s)
+    m, r = split_mf_r(f, s)
+    block = mn_pda(f, f - 2)
     if r == f:
-        return _rep(ConstructionRecipe("mn", {"f": f, "z": f - 2}), m + 1)
-    copies = _rep(ConstructionRecipe("mn", {"f": f, "z": f - 2}), m) if m else None
+        return replicate(block, m + 1)
     if r == 1:
-        tail = None
-        pad = 1
+        tail = PdaGrid(f=f, k=0, s=1, cells=())
     else:
-        inner = (
-            ConstructionRecipe("f2_base", {"s": f})
-            if r == 2
-            else optimal_fz2_recipe(r, f)
-        )
-        tail = ConstructionRecipe("dual", children=(inner,))
-        pad = 0
-    children = tuple(c for c in (copies, tail) if c is not None)
-    if pad == 0 and len(children) == 1:
-        return children[0]
-    return ConstructionRecipe("concat", {"f": f, "pad_s": pad}, children)
-
-
-def optimal_fz2(f: int, s: int) -> PdaGrid:
-    """Build the Z = F-2 grid for (F, S); see optimal_fz2_recipe."""
-    return evaluate_recipe(optimal_fz2_recipe(f, s))
+        tail = symbol_dual(f2_base(f) if r == 2 else optimal_fz2(r, f))
+    return concat(replicate(block, m), tail)

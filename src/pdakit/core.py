@@ -284,9 +284,12 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
                 violations.append(StarCountMismatch(col=j, found=found, expected=expected_z))
 
     multiplicity = {x: len(occurrences.get(x, ())) for x in range(grid.s)}
-    all_rows = frozenset(range(f))
+    # Unused symbols share one all-rows set, and S = 0 builds none: a K = 0
+    # header may declare any F.
+    all_rows = frozenset(range(f) if grid.s else ())
     missing_rows = {
-        x: all_rows - {i for i, _ in occurrences.get(x, ())} for x in range(grid.s)
+        x: all_rows - {i for i, _ in occurrences[x]} if x in occurrences else all_rows
+        for x in range(grid.s)
     }
     return VerificationReport(
         valid=not violations,

@@ -68,7 +68,7 @@ def parse(text: str) -> PdaGrid:
         # Row lines are empty and may be dropped entirely by text tooling.
         if any(body):
             raise PdaFormatError("K=0 grid must have no row tokens")
-        body = [""] * f
+        return PdaGrid(f=f, k=0, s=s, cells=())
     if len(body) != f:
         raise PdaFormatError(f"expected {f} row lines, found {len(body)}")
 

@@ -78,7 +78,6 @@ import time
 from dataclasses import dataclass, replace
 
 from .bounds import (
-    lower_bound_s,
     pjd_max_k,
     recursive_lower_bound_s,
     split_mf_r,
@@ -95,14 +94,12 @@ class SearchConfig:
     subsets placed, for Z = F-2); whichever runs out first aborts the
     search, and nodes_visited never exceeds node_budget.  The clock is read
     on the first node and then every 1024 nodes, so a time abort lands
-    within 1024 nodes of the deadline.  prune_with_bounds turns on the
-    certified bound prunes (they never change results, only work).  The
-    search is sequential and bit-for-bit deterministic.
+    within 1024 nodes of the deadline.  The search is sequential and
+    bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
     node_budget: int = 50_000_000
-    prune_with_bounds: bool = True
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.time_budget) or self.time_budget <= 0:
@@ -482,11 +479,11 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     targets downward from the certified cap and running the canonical
     feasibility search at each.
 
-    The cap is (Z+1)S/(F-Z); with prune_with_bounds and Z = F-2 the
-    row-population refutation lowers it further.  Both are theorems, so a
-    found target under the cap is still an exact, exhausted optimum.  On
-    budget exhaustion the outcome carries the deepest valid prefix found
-    anywhere as witness and exhausted=False.
+    The cap is (Z+1)S/(F-Z); at Z = F-2 the row-population refutation
+    lowers it further.  Both are theorems, so a found target under the cap
+    is still an exact, exhausted optimum.  On budget exhaustion the outcome
+    carries the deepest valid prefix found anywhere as witness and
+    exhausted=False.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -497,7 +494,7 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     start = time.monotonic()
     budget = _Budget(cfg)
     cap = upper_bound_k(f, z, s).value
-    if cfg.prune_with_bounds and z == f - 2 and f >= 3 and s >= 1:
+    if z == f - 2 and f >= 3 and s >= 1:
         cap = min(cap, pjd_max_k(f, s).value)
     feasible = _board_feasible if z == f - 2 else _feasible
     levels: list[SearchLevel] = []
@@ -527,10 +524,10 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     """Exact minimum S for which a (K, F, Z, S) grid exists: scan S upward
     from the certified floor, asking feasibility of K at each level.
 
-    The floor is the term-sum bound; prune_with_bounds raises it to the
-    recursion bound when that is higher.  Exact when every scanned level
-    exhausts; on budget exhaustion falls back to the trivial witness with
-    all-distinct symbols (S = K(F-Z)) and exhausted=False.
+    The floor is the recursion bound, which is never below the term-sum
+    bound.  Exact when every scanned level exhausts; on budget exhaustion
+    falls back to the trivial witness with all-distinct symbols
+    (S = K(F-Z)) and exhausted=False.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -542,9 +539,7 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     budget = _Budget(cfg)
     if k == 0:
         return _outcome(0, PdaGrid(f=f, k=0, s=0, cells=()), True, budget, start, [])
-    floor_s = lower_bound_s(k, f, z).value
-    if cfg.prune_with_bounds:
-        floor_s = max(floor_s, recursive_lower_bound_s(k, f, z).value)
+    floor_s = recursive_lower_bound_s(k, f, z).value
     ceiling = k * (f - z)
     feasible = _board_feasible if z == f - 2 else _feasible
     levels: list[SearchLevel] = []

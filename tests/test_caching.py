@@ -37,6 +37,17 @@ class TestSubfileContent:
         for size in (1, 16, 40):
             assert 0 <= pk.subfile_content(7, 3, 2, size) < 1 << (8 * size)
 
+    def test_multi_digest_content_is_pinned(self):
+        # 100 bytes take four SHA-256 digests, the last one cut short.
+        want = int(
+            "297030082888745708659506764630852440429350429323218172001094"
+            "344108038008028859504493228638875107247144069398238816957177"
+            "850329271241225638710186903419771539651681625482713105316658"
+            "180561970864151154514480999262645560981007648126072592515104"
+            "2"
+        )
+        assert pk.subfile_content(3, 1, 2, 100) == want
+
 
 class TestInstance:
     def test_for_grid_copies_dimensions(self):

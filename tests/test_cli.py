@@ -56,11 +56,10 @@ class TestConstruct:
         assert proc.returncode == 0
         assert pk.parse_json(proc.stdout) == pk.mn_pda(3, 1)
 
-    def test_recipe_flag_prints_recipe(self):
+    def test_recipe_flag_is_gone(self):
         proc = run_cli("construct", "opt2", "--f", "7", "--s", "10", "--recipe")
-        assert proc.returncode == 0
-        recipe = pk.ConstructionRecipe.from_json(proc.stdout)
-        assert pk.evaluate_recipe(recipe) == pk.optimal_fz2(7, 10)
+        assert proc.returncode == 2
+        assert "--recipe" in proc.stderr
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "g.pda"
@@ -110,6 +109,11 @@ class TestVerify:
         assert proc.returncode == 0
         st = last_json(proc.stdout)["structural"]
         assert (st["maxd"], st["maxe"], st["nar"]) == ("holds", "holds", "holds")
+
+    def test_header_only_grid_with_huge_f(self):
+        proc = run_cli("verify", "-", stdin="#PDA v1\nK=0 F=10000000000 Z=0 S=0\n")
+        assert proc.returncode == 0
+        assert last_json(proc.stdout)["f"] == 10**10
 
     def test_format_error_exits_two(self):
         proc = run_cli("verify", "-", stdin="not a grid\n")
@@ -295,6 +299,12 @@ class TestSearch:
             obj = last_json(proc.stdout)
             assert obj["exhausted"] is False
             assert obj["nodes"] == 1000
+
+    def test_no_prune_flag_is_gone(self):
+        for mode in (["maxk", "--s", "5"], ["mins", "--k", "6"]):
+            proc = run_cli("search", *mode, "--f", "4", "--z", "2", "--no-prune")
+            assert proc.returncode == 2, mode
+            assert "--no-prune" in proc.stderr
 
     def test_threads_flag_is_gone(self):
         proc = run_cli(

@@ -120,47 +120,3 @@ class TestOptimalFz2:
             pk.optimal_fz2(1, 3)
         with pytest.raises(pk.PdaUsageError):
             pk.optimal_fz2(3, 0)
-
-
-class TestRecipes:
-    def test_recipe_reproduces_grid_bit_exactly(self):
-        for f in range(2, 9):
-            for s in range(1, 25):
-                recipe = pk.optimal_fz2_recipe(f, s)
-                assert pk.evaluate_recipe(recipe) == pk.optimal_fz2(f, s), (f, s)
-
-    def test_recipe_json_round_trip(self):
-        recipe = pk.optimal_fz2_recipe(7, 31)
-        back = pk.ConstructionRecipe.from_json(recipe.to_json())
-        assert back == recipe
-        assert pk.evaluate_recipe(back) == pk.optimal_fz2(7, 31)
-
-    def test_leaf_recipes(self):
-        mn = pk.ConstructionRecipe(name="mn", params={"f": 4, "z": 2})
-        assert pk.evaluate_recipe(mn) == pk.mn_pda(4, 2)
-        f2 = pk.ConstructionRecipe(name="f2_base", params={"s": 7})
-        assert pk.evaluate_recipe(f2) == pk.f2_base(7)
-
-    def test_unknown_recipe_rejected(self):
-        with pytest.raises(pk.PdaUsageError):
-            pk.evaluate_recipe(pk.ConstructionRecipe(name="mystery", params={}))
-        with pytest.raises(pk.PdaUsageError):
-            pk.ConstructionRecipe.from_json("[]")
-        with pytest.raises(pk.PdaUsageError):
-            pk.evaluate_recipe(pk.ConstructionRecipe(name="mn", params={"f": 4}))
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            '{"name": "mn", "params": [1]}',
-            '{"name": "replicate", "params": {"m": 2}, "children": 5}',
-            "[1",
-            '{"name": "mn", "params": {"f": 1.7, "z": 0}}',
-            '{"name": "mn", "params": {"f": true, "z": 0}}',
-            '{"name": "mn", "params": {"f": "4", "z": 2}}',
-            '{"name": 5}',
-        ],
-    )
-    def test_malformed_json_is_a_usage_error(self, source):
-        with pytest.raises(pk.PdaUsageError):
-            pk.ConstructionRecipe.from_json(source)

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 
 import pytest
 
@@ -103,6 +104,16 @@ class TestPdaGrid:
         assert rep.valid
         assert rep.multiplicity == {0: 1, 1: 0, 2: 0}
         assert rep.missing_rows[1] == frozenset({0})
+
+    def test_unused_symbols_share_one_row_set(self):
+        g = pk.PdaGrid(f=6000, k=0, s=6000, cells=())
+        start = time.perf_counter()
+        rep = pk.verify(g)
+        assert time.perf_counter() - start < 1.0
+        assert rep.valid
+        assert len(rep.missing_rows) == 6000
+        assert len({id(rows) for rows in rep.missing_rows.values()}) == 1
+        assert rep.missing_rows[5999] == frozenset(range(6000))
 
 
 class TestVerify:

@@ -40,6 +40,8 @@ class TestRender:
             "f2_5": pk.f2_base(5),
             "opt2_7_10": pk.optimal_fz2(7, 10),
             "opt2_3_4": pk.optimal_fz2(3, 4),
+            "opt2_5_7": pk.optimal_fz2(5, 7),
+            "opt2_4_8": pk.optimal_fz2(4, 8),
             "dual_mn_4_2": pk.symbol_dual(pk.mn_pda(4, 2)),
         }
         for name, g in cases.items():

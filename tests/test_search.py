@@ -88,10 +88,8 @@ class TestSearchConfig:
                 SearchConfig(time_budget=budget)
 
     def test_defaults_are_sequential(self):
-        cfg = SearchConfig()
-        assert cfg.prune_with_bounds
         names = [fld.name for fld in dataclasses.fields(SearchConfig)]
-        assert names == ["time_budget", "node_budget", "prune_with_bounds"]
+        assert names == ["time_budget", "node_budget"]
 
 
 class TestMaxK:
@@ -130,10 +128,18 @@ class TestMaxK:
         assert a.nodes_visited == b.nodes_visited
 
     def test_bound_prunes_do_not_change_results(self):
-        pruned = pk.max_k(4, 2, 5, quick())
-        plain = pk.max_k(4, 2, 5, quick(prune_with_bounds=False))
-        assert pruned.optimum == plain.optimum == 6
-        assert pruned.exhausted and plain.exhausted
+        # max_k scans down from upper_bound_k, capped by pjd_max_k at
+        # Z = F-2, and min_s scans up from recursive_lower_bound_s.  Every
+        # golden optimum lies inside those bounds, so they prune only work.
+        table = json.loads((GOLDEN / "search_optima.json").read_text())
+        assert len(table["cells"]) == 111
+        for f, z, s, k in table["cells"]:
+            assert pk.upper_bound_k(f, z, s).value >= k, (f, z, s)
+            if z == f - 2 and f >= 3:
+                assert pk.pjd_max_k(f, s).value >= k, (f, z, s)
+            if k >= 1:
+                assert pk.lower_bound_s(k, f, z).value <= s, (f, z, s)
+                assert pk.recursive_lower_bound_s(k, f, z).value <= s, (f, z, s)
 
     def test_budget_abort_is_honest(self):
         out = pk.max_k(4, 2, 7, quick(node_budget=10))
@@ -237,8 +243,9 @@ class TestLevels:
             assert lv.elapsed_s >= 0
 
     def test_min_s_records_each_scanned_s(self):
-        out = pk.min_s(4, 4, 2, quick(prune_with_bounds=False))
-        assert len(out.levels) == 2
+        out = pk.min_s(10, 4, 2, quick())
+        assert [lv.target for lv in out.levels] == [7, 8]
+        assert out.nodes_visited == 6406
         assert out.levels[-1].target == out.optimum
         assert out.levels[-1].code == "found"
         assert all(lv.code == "exhausted" for lv in out.levels[:-1])
