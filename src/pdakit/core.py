@@ -26,7 +26,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # A cell is either a symbol in [0, S) or a star, encoded as None.
 Cell = int | None
@@ -233,7 +233,38 @@ class VerificationReport:
     valid: bool
     violations: tuple[Violation, ...]
     multiplicity: dict[int, int]
-    missing_rows: dict[int, frozenset[int]]
+    missing_rows: Mapping[int, frozenset[int]]
+
+
+class _MissingRows(Mapping[int, frozenset[int]]):
+    """Symbol -> rows where it does not appear, for symbols [0, s).  The
+    unused symbols share one all-rows set, built on first read: a K = 0
+    header may declare any F, and verify itself never reads it."""
+
+    def __init__(
+        self, f: int, s: int, occurrences: dict[int, tuple[tuple[int, int], ...]]
+    ) -> None:
+        self._f, self._s = f, s
+        self._used = {
+            x: self._all_rows - {i for i, _ in occs} for x, occs in occurrences.items()
+        }
+
+    @cached_property
+    def _all_rows(self) -> frozenset[int]:
+        return frozenset(range(self._f))
+
+    def __getitem__(self, x: int) -> frozenset[int]:
+        if x in self._used:
+            return self._used[x]
+        if isinstance(x, int) and 0 <= x < self._s:
+            return self._all_rows
+        raise KeyError(x)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._s))
+
+    def __len__(self) -> int:
+        return self._s
 
 
 def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
@@ -284,18 +315,11 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
                 violations.append(StarCountMismatch(col=j, found=found, expected=expected_z))
 
     multiplicity = {x: len(occurrences.get(x, ())) for x in range(grid.s)}
-    # Unused symbols share one all-rows set, and S = 0 builds none: a K = 0
-    # header may declare any F.
-    all_rows = frozenset(range(f) if grid.s else ())
-    missing_rows = {
-        x: all_rows - {i for i, _ in occurrences[x]} if x in occurrences else all_rows
-        for x in range(grid.s)
-    }
     return VerificationReport(
         valid=not violations,
         violations=tuple(violations),
         multiplicity=multiplicity,
-        missing_rows=missing_rows,
+        missing_rows=_MissingRows(f, grid.s, occurrences),
     )
 
 

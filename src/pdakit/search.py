@@ -36,6 +36,20 @@ the star-corner condition over all pairs, and they subsume row/column
 uniqueness, so every node of the tree is a valid grid and every leaf at
 depth K is a witness.
 
+Potential prune: a symbol occurs at most Z+1 times (the element bound), and
+each later occurrence of a used symbol x must sit in a row that every
+column holding x stars, the bitmask star_and[x].  So x ends with at most
+its potential, mult(x) + |star_and[x]|, or Z+1 while unused, and K columns
+need K(F-Z) cells out of the S symbols' potentials.  A fresh symbol keeps
+its potential, 1 + Z: its cell plus its column's Z stars.  Reusing x at
+row r in a column with star mask m lowers it by |star_and[x] & ~m| - 1,
+which is >= 0 because r is in star_and[x] and not in m; potentials never
+rise.  The search keeps deficit, the sum of Z+1 minus each potential, and
+skips a cell once deficit exceeds the level's slack S(Z+1) - K(F-Z).  A
+skipped subtree holds no node at depth K, so the first witness in scan
+order, each optimum and each exhausted flag are those of the unpruned
+search; only node counts and deepest prefixes fall.
+
 Z = F-2 cells take a board path instead.  Put rows on one axis and symbols
 on the other; a hole is a board cell (r, x) where symbol x misses row r.
 A Z = F-2 column holds two cells (r1, x1) and (r2, x2), and the two PDA
@@ -115,8 +129,10 @@ _FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
 class SearchLevel:
     """One scanned level of a search: the K asked for by max_k, or the S
     tried by min_s.  code is "found", "exhausted" or "abort"; deepest is the
-    longest valid column prefix reached, or for Z = F-2 the largest
-    matching seen."""
+    longest valid column prefix the pruned search reached (the potential
+    prune cuts prefixes that cannot reach the target, so it can be shorter
+    than the longest valid prefix), or for Z = F-2 the largest matching
+    seen."""
 
     target: int
     code: str
@@ -185,6 +201,9 @@ def _feasible(
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
     cols: list[tuple[int, tuple[int, ...]]] = []  # (star-set index, symbols)
     used = 0  # symbols labeled so far; the next fresh symbol is `used`
+    # Potential prune: the symbols must still be able to supply every cell.
+    slack = s * (z + 1) - target * (f - z)
+    deficit = 0  # sum over symbols of Z+1 minus their potential
     best = 0
     best_cols: list[tuple[int, tuple[int, ...]]] = []
 
@@ -197,7 +216,7 @@ def _feasible(
         tight: bool,
         last_syms: tuple[int, ...],
     ) -> str:
-        nonlocal used
+        nonlocal used, deficit
         if idx == len(nonstars):
             cols.append((si, syms))
             code = descend(len(cols))
@@ -212,18 +231,24 @@ def _feasible(
             if x == top:
                 if top == s:
                     break  # no fresh symbol left
+                loss = 0
             else:
                 if rows_of[x] & ~mask:
                     continue  # an earlier row of x is not starred here
                 if not (star_and[x] & rbit):
                     continue  # row r is not starred in some column holding x
+                loss = (star_and[x] & ~mask).bit_count() - 1
+            if deficit + loss > slack:
+                continue  # the symbols can no longer fill `target` columns
             old_and = star_and[x]
             used = top + (x == top)
             rows_of[x] |= rbit
             star_and[x] = old_and & mask
+            deficit += loss
             code = place_cells(
                 si, mask, nonstars, idx + 1, syms + (x,), tight and x == lo, last_syms
             )
+            deficit -= loss
             star_and[x] = old_and
             rows_of[x] &= ~rbit
             used = top

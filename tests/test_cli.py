@@ -8,8 +8,10 @@ success/valid, 1 for a falsified claim, 2 for usage or format errors.
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pdakit as pk
@@ -19,11 +21,15 @@ GOLDEN = Path(__file__).parent / "golden"
 VIOLATOR = "#PDA v1\nK=2 F=2 Z=- S=2\n0 *\n1 0\n"
 
 
-def run_cli(*argv, stdin=None, env_extra=None):
+def run_cli(*argv, stdin=None, env_extra=None, memory_cap=None):
     env = os.environ.copy()
     env.pop("PDA_SEARCH_BUDGET", None)
     if env_extra:
         env.update(env_extra)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
     return subprocess.run(
         [sys.executable, "-m", "pdakit.cli", *argv],
         input=stdin,
@@ -31,6 +37,7 @@ def run_cli(*argv, stdin=None, env_extra=None):
         text=True,
         env=env,
         timeout=300,
+        preexec_fn=cap_memory if memory_cap else None,
     )
 
 
@@ -111,9 +118,19 @@ class TestVerify:
         assert (st["maxd"], st["maxe"], st["nar"]) == ("holds", "holds", "holds")
 
     def test_header_only_grid_with_huge_f(self):
-        proc = run_cli("verify", "-", stdin="#PDA v1\nK=0 F=10000000000 Z=0 S=0\n")
-        assert proc.returncode == 0
-        assert last_json(proc.stdout)["f"] == 10**10
+        # S = 1 declares an unused symbol, whose missing rows are all F rows.
+        # The address-space cap turns building them into a MemoryError
+        # rather than a child that takes the host's memory.
+        for s in (0, 1):
+            start = time.perf_counter()
+            proc = run_cli(
+                "verify", "-", stdin=f"#PDA v1\nK=0 F=10000000000 Z=0 S={s}\n",
+                memory_cap=1 << 30,
+            )
+            assert time.perf_counter() - start < 1.0, s
+            assert proc.returncode == 0, proc.stderr
+            obj = last_json(proc.stdout)
+            assert (obj["valid"], obj["f"]) == (True, 10**10)
 
     def test_format_error_exits_two(self):
         proc = run_cli("verify", "-", stdin="not a grid\n")
@@ -299,6 +316,15 @@ class TestSearch:
             obj = last_json(proc.stdout)
             assert obj["exhausted"] is False
             assert obj["nodes"] == 1000
+
+    def test_potential_prune_cuts_the_dead_levels(self):
+        # (5, 2, 10) sits where the element bound is tight: without the
+        # potential prune its one level walks 251,317 nodes.
+        proc = run_cli("search", "maxk", "--f", "5", "--z", "2", "--s", "10")
+        assert proc.returncode == 0
+        obj = last_json(proc.stdout)
+        assert (obj["optimum"], obj["exhausted"]) == (10, True)
+        assert obj["nodes"] <= 1000
 
     def test_no_prune_flag_is_gone(self):
         for mode in (["maxk", "--s", "5"], ["mins", "--k", "6"]):

@@ -8,6 +8,7 @@ exhausted=False).
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -132,7 +133,7 @@ class TestMaxK:
         # Z = F-2, and min_s scans up from recursive_lower_bound_s.  Every
         # golden optimum lies inside those bounds, so they prune only work.
         table = json.loads((GOLDEN / "search_optima.json").read_text())
-        assert len(table["cells"]) == 111
+        assert len(table["cells"]) == 112
         for f, z, s, k in table["cells"]:
             assert pk.upper_bound_k(f, z, s).value >= k, (f, z, s)
             if z == f - 2 and f >= 3:
@@ -165,11 +166,25 @@ class TestMaxK:
 
     def test_reproduces_the_golden_optima(self):
         table = json.loads((GOLDEN / "search_optima.json").read_text())
-        assert len(table["cells"]) == 111
+        assert len(table["cells"]) == 112
         for f, z, s, k in table["cells"]:
             out = pk.max_k(f, z, s, quick())
             assert out.exhausted, (f, z, s)
             assert out.optimum == k, (f, z, s)
+
+    def test_reproduces_the_golden_witnesses(self):
+        # Hashes recorded before the column search gained its potential
+        # prune, on cells where the prune fires: cutting only subtrees with
+        # no witness keeps every optimum, exhausted flag and first witness.
+        table = json.loads((GOLDEN / "search_witnesses.json").read_text())
+        runs = [(pk.max_k, row) for row in table["max_k"]]
+        runs += [(pk.min_s, row) for row in table["min_s"]]
+        assert len(runs) == 86
+        for run, (a, b, c, optimum, exhausted, digest) in runs:
+            out = run(a, b, c, quick())
+            cells = json.dumps(out.witness.cells).encode()
+            got = (out.optimum, out.exhausted, hashlib.sha256(cells).hexdigest())
+            assert got == (optimum, exhausted, digest), (run.__name__, a, b, c)
 
     def test_first_column_stars_the_leading_rows(self):
         for f, z, s in [(4, 1, 5), (4, 2, 5), (5, 2, 6), (5, 3, 5)]:
@@ -238,7 +253,9 @@ class TestLevels:
         assert [lv.target for lv in out.levels] == [8, 7, 6]
         assert [lv.code for lv in out.levels] == ["exhausted", "exhausted", "found"]
         assert sum(lv.nodes for lv in out.levels) == out.nodes_visited
-        assert [lv.deepest for lv in out.levels] == [6, 6, 6]
+        # Deepest prefix the pruned search reached: the K = 8 level no longer
+        # walks the dead branch that got to depth 6.
+        assert [lv.deepest for lv in out.levels] == [5, 6, 6]
         for lv in out.levels:
             assert lv.elapsed_s >= 0
 
@@ -258,8 +275,8 @@ class TestLevels:
         # tree (ordering, symmetry breaking, pruning) shows up here even
         # when every optimum stays the same.
         cases = [
-            (pk.max_k(5, 2, 8, quick()), [(8, 17837), (7, 17837), (6, 3012)]),
-            (pk.max_k(5, 2, 6, quick()), [(6, 398), (5, 398), (4, 5)]),
+            (pk.max_k(5, 2, 8, quick()), [(8, 266), (7, 9993), (6, 3012)]),
+            (pk.max_k(5, 2, 6, quick()), [(6, 26), (5, 398), (4, 5)]),
             # Z = F-2: the board path, one node per placed hole subset.
             (pk.max_k(4, 2, 5, quick()), [(7, 157), (6, 262)]),
             (pk.min_s(10, 5, 3, quick()), [(5, 58)]),
@@ -269,8 +286,8 @@ class TestLevels:
             assert [(lv.target, lv.nodes) for lv in out.levels] == expected
         # The column search on the same Z = F-2 levels, called directly.
         for (f, z, s), expected in [
-            ((4, 2, 5), [(7, 1044), (6, 316)]),
-            ((5, 3, 5), [(10, 17207)]),
+            ((4, 2, 5), [(7, 538), (6, 304)]),
+            ((5, 3, 5), [(10, 39)]),
         ]:
             budget = search._Budget(quick())
             got = [search._feasible(f, z, s, t, budget)[0] for t, _ in expected]
@@ -319,7 +336,7 @@ class TestBoardPath:
                 continue
             assert column == [lv.code for lv in board.levels], (f, s)
             compared += 1
-        assert compared == 28
+        assert compared == 29
 
     def test_budget_binds_on_hostile_shapes(self):
         for (f, z, s), cfg in [
