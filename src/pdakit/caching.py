@@ -10,12 +10,26 @@ other term with cached copies; the star-corner property is exactly the
 statement that those copies are cached.
 
 None of that structure depends on the demands, so each grid is compiled
-once into a plan: every user's star rows, every symbol's occurrences
-(user, row) in column order, and every user's symbol cells with the other
-occurrences of their symbol.  The plan is cached for the last few grids.
-Per demand vector, `place`, `deliver` and `decode` only look up the plan
-and XOR; the content of each (file, subfile) a session's broadcasts combine
-is fetched once and shared by its `deliver` and `decode`.
+once into a plan: every user's star rows, every symbol's cells (user, row)
+in column order, and every user's decode program.  A program is the list
+of symbol cells the user XOR-checks, in row order, each with the other
+cells of its symbol.  It ends at the first cell with a foreign term the
+user does not cache: decoding fails there with `missing_broadcast` if no
+broadcast carries the symbol and `cache_miss` otherwise.  Star rows need no
+check, since `place` caches them for every file.  The plans of the last few
+grids are kept.  `simulate` runs the plan's programs; `decode` builds the
+same kind of program from the placement it is given, so a tampered
+placement still fails term by term.  The content of each (file, subfile) a
+session's broadcasts combine is fetched once and shared by its `deliver`
+and `decode`.
+
+`simulate_many` runs the same programs for many demand vectors at once,
+one bit lane of a Python int per vector: the lane-packed content of cell
+(u, j) is sum_f content(f, j) * M[u][f], where M[u][f] has a one at the
+base of every lane whose vector asks user u for file f.  Every XOR then
+serves every vector, and a nonzero lane of a difference names that
+vector's mismatch.  Vectors go through in chunks whose packed contents fit
+a fixed bit budget, so memory does not grow with the vector count.
 
 Subfile contents are deterministic pseudo-random bytes derived from
 (seed, file, subfile), so decoding is an end-to-end byte equality check on
@@ -32,15 +46,22 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .core import PdaGrid, PdaUsageError
 
 Placement = dict[int, frozenset[tuple[int, int]]]
+# (row, symbol, foreign): a symbol cell of one user, see _Plan.
+Step = tuple[int, int, tuple[int, ...]]
+# The steps a user XOR-checks, then the (row, symbol) where it stops, if any.
+Program = tuple[tuple[Step, ...], tuple[int, int] | None]
 
 # Contents of the most recently used (seed, file, subfile, size) keys.
 _CONTENT_CACHE_ENTRIES = 256
 # Compiled plans of the most recently simulated grids.
 _PLAN_CACHE_ENTRIES = 4
+# Bits of lane-packed content simulate_many holds at once.
+_LANE_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -59,12 +80,9 @@ class CachingInstance:
     subfile_size: int = 16
 
     def __post_init__(self) -> None:
-        if self.n_files < 1:
-            raise PdaUsageError("need at least one file")
+        _check_sizes(self.n_files, self.subfile_size)
         if self.k_users < 0 or self.f_subfiles < 1:
             raise PdaUsageError("bad user or subfile count")
-        if self.subfile_size < 1:
-            raise PdaUsageError("subfile size must be at least one byte")
         if len(self.demands) != self.k_users:
             raise PdaUsageError("demands must list one file per user")
         for dem in self.demands:
@@ -88,6 +106,13 @@ class CachingInstance:
             seed=seed,
             subfile_size=subfile_size,
         )
+
+
+def _check_sizes(n_files: int, subfile_size: int) -> None:
+    if n_files < 1:
+        raise PdaUsageError("need at least one file")
+    if subfile_size < 1:
+        raise PdaUsageError("subfile size must be at least one byte")
 
 
 @dataclass(frozen=True)
@@ -140,16 +165,18 @@ class _Plan:
     cells: every symbol cell (user, row), grouped by symbol, symbols
     ascending, each group in column order.  symbols: (x, start, stop) for
     each symbol present, its group being cells[start:stop].
-    star_rows[k]: the rows user k caches.  symbol_cells[k]: (row, symbol,
-    own, foreign) for each symbol cell of user k in row order, where own is
-    the cell's index in `cells` and foreign the indices of the other cells
-    of its symbol.
+    star_rows[k]: the rows user k caches.  symbol_cells[k]: the steps
+    (row, symbol, foreign) of user k in row order, one per symbol cell,
+    where foreign holds the indices in `cells` of the other cells of its
+    symbol.  programs[k]: user k's program under the placement `place`
+    makes.
     """
 
     cells: tuple[tuple[int, int], ...]
     symbols: tuple[tuple[int, int, int], ...]
     star_rows: tuple[tuple[int, ...], ...]
-    symbol_cells: tuple[tuple[tuple[int, int, int, tuple[int, ...]], ...], ...]
+    symbol_cells: tuple[tuple[Step, ...], ...]
+    programs: tuple[Program, ...]
 
 
 @lru_cache(maxsize=_PLAN_CACHE_ENTRIES)
@@ -158,25 +185,41 @@ def _plan(grid: PdaGrid) -> _Plan:
     symbol_cells = grid._symbol_cells
     cells: list[tuple[int, int]] = []
     symbols: list[tuple[int, int, int]] = []
-    # per user: (row, symbol, own index in cells, the rest of its group)
-    of_user: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in range(k)]
+    # per user: (row, symbol, the indices of the rest of its group)
+    of_user: list[list[Step]] = [[] for _ in range(k)]
     for x in sorted(symbol_cells):
         # Row-major cells sorted stably by column: column order, rows ascending.
         group = sorted(symbol_cells[x], key=lambda cell: cell[1])
         start, stop = len(cells), len(cells) + len(group)
         symbols.append((x, start, stop))
         for i, (j, u) in enumerate(group, start):
-            of_user[u].append((j, x, i, tuple(o for o in range(start, stop) if o != i)))
+            of_user[u].append((j, x, tuple(o for o in range(start, stop) if o != i)))
         cells.extend((u, j) for j, u in group)
+    star_rows = tuple(
+        tuple(j for j, x in enumerate(grid.cells[u::k]) if x is None) for u in range(k)
+    )
+    steps = tuple(tuple(sorted(user)) for user in of_user)
+    row_of = [j for _, j in cells]
     return _Plan(
         cells=tuple(cells),
         symbols=tuple(symbols),
-        star_rows=tuple(
-            tuple(j for j, x in enumerate(grid.cells[u::k]) if x is None)
-            for u in range(k)
+        star_rows=star_rows,
+        symbol_cells=steps,
+        # A foreign cell's term is cached iff the user stars the cell's row.
+        programs=tuple(
+            _program(user, lambda i, stars=frozenset(rows): row_of[i] in stars)
+            for user, rows in zip(steps, star_rows)
         ),
-        symbol_cells=tuple(tuple(sorted(user)) for user in of_user),
     )
+
+
+def _program(steps: tuple[Step, ...], cached: Callable[[int], bool]) -> Program:
+    """The steps a user XOR-checks, up to the first one with a foreign
+    cell i that is not `cached(i)`; that step's (row, symbol) ends it."""
+    for n, (j, x, foreign) in enumerate(steps):
+        if not all(map(cached, foreign)):
+            return steps[:n], (j, x)
+    return steps, None
 
 
 @lru_cache(maxsize=1)
@@ -192,6 +235,77 @@ def _session(
     terms = [(demands[u], j) for u, j in plan.cells]
     contents = {t: subfile_content(seed, t[0], t[1], size) for t in set(terms)}
     return plan, terms, [contents[t] for t in terms]
+
+
+def _payloads(plan: _Plan, contents: list[int]) -> dict[int, int]:
+    """Each symbol's broadcast payload: the XOR of its cells' contents."""
+    payloads = {}
+    for x, start, stop in plan.symbols:
+        payload = 0
+        for value in contents[start:stop]:
+            payload ^= value
+        payloads[x] = payload
+    return payloads
+
+
+def _run_lanes(
+    plan: _Plan,
+    programs: Sequence[Program],
+    contents: list[int],
+    payloads: dict[int, int],
+    lanes: int,
+    width: int,
+) -> list[tuple[DecodeFailure, ...]]:
+    """Run every user's program over cell contents and broadcast payloads,
+    each an int of `lanes` lanes: lane v is bytes [v * width, (v + 1) *
+    width) of the little-endian int, and a single lane is the whole int,
+    whatever its size.  Per lane, the failures, users ascending.
+
+    A cell decodes when its broadcast, with its foreign terms cancelled,
+    equals its own content: when the payload XOR the contents of all its
+    symbol's cells is 0.  That difference is the same for every cell of a
+    symbol, so it is computed once per symbol.  A user fails at its first
+    step whose symbol has no broadcast or differs in the lane, or else at
+    its program's stop."""
+    failing: dict[int, set[int] | None] = {}  # None: no broadcast
+    zero = bytes(width)
+    for x, start, stop in plan.symbols:
+        value = payloads.get(x)
+        if value is None:
+            failing[x] = None
+            continue
+        for content in contents[start:stop]:
+            value ^= content
+        if value and lanes == 1:
+            failing[x] = {0}
+        elif value:
+            raw = value.to_bytes(lanes * width, "little")
+            by_lane = (raw[v * width : (v + 1) * width] for v in range(lanes))
+            failing[x] = {v for v, lane in enumerate(by_lane) if lane != zero}
+    if not failing:
+        misses = tuple(
+            DecodeFailure(k, stop[0], "cache_miss")
+            for k, (_, stop) in enumerate(programs)
+            if stop is not None
+        )
+        return [misses] * lanes
+    out = []
+    for v in range(lanes):
+        failures = []
+        for k, (steps, stop) in enumerate(programs):
+            for j, x, _ in steps:
+                bad = failing.get(x, ())
+                if bad is None or v in bad:
+                    reason = "missing_broadcast" if bad is None else "mismatch"
+                    failures.append(DecodeFailure(k, j, reason))
+                    break
+            else:
+                if stop is not None:
+                    j, x = stop
+                    reason = "cache_miss" if x in payloads else "missing_broadcast"
+                    failures.append(DecodeFailure(k, j, reason))
+        out.append(tuple(failures))
+    return out
 
 
 def _check_dims(grid: PdaGrid, instance: CachingInstance) -> None:
@@ -220,13 +334,11 @@ def deliver(
     subfiles at that symbol's cells, in column order."""
     _check_dims(grid, instance)
     plan, terms, contents = _session(grid, instance)
-    broadcasts: dict[int, Broadcast] = {}
-    for x, start, stop in plan.symbols:
-        payload = 0
-        for value in contents[start:stop]:
-            payload ^= value
-        broadcasts[x] = Broadcast(x, tuple(terms[start:stop]), payload)
-    return broadcasts
+    payloads = _payloads(plan, contents)
+    return {
+        x: Broadcast(x, tuple(terms[start:stop]), payloads[x])
+        for x, start, stop in plan.symbols
+    }
 
 
 def decode(
@@ -254,42 +366,27 @@ def _decode(
     broadcasts: dict[int, Broadcast],
 ) -> list[DecodeFailure | None]:
     """Per user, the first row it cannot recover, or None.  Star rows are
-    checked before symbol cells, each in row order."""
+    checked before symbol cells, each in row order; the programs are built
+    from `placement`, whatever made it."""
     _check_dims(grid, instance)
     plan, terms, contents = _session(grid, instance)
     empty: frozenset[tuple[int, int]] = frozenset()
-    return [
-        _first_failure(
-            k, want, placement.get(k, empty), plan, terms, contents, broadcasts
-        )
-        for k, want in enumerate(instance.demands)
-    ]
-
-
-def _first_failure(
-    k: int,
-    want: int,
-    cache: frozenset[tuple[int, int]],
-    plan: _Plan,
-    terms: list[tuple[int, int]],
-    contents: list[int],
-    broadcasts: dict[int, Broadcast],
-) -> DecodeFailure | None:
-    for j in plan.star_rows[k]:
-        if (want, j) not in cache:
-            return DecodeFailure(k, j, "cache_miss")
-    for j, x, own, foreign in plan.symbol_cells[k]:
-        b = broadcasts.get(x)
-        if b is None:
-            return DecodeFailure(k, j, "missing_broadcast")
-        value = b.payload
-        for i in foreign:
-            if terms[i] not in cache:
-                return DecodeFailure(k, j, "cache_miss")
-            value ^= contents[i]
-        if value != contents[own]:
-            return DecodeFailure(k, j, "mismatch")
-    return None
+    out: list[DecodeFailure | None] = [None] * grid.k
+    programs: list[Program] = []
+    for k, want in enumerate(instance.demands):
+        cache = placement.get(k, empty)
+        miss = next((j for j in plan.star_rows[k] if (want, j) not in cache), None)
+        if miss is None:
+            programs.append(_program(plan.symbol_cells[k], lambda i: terms[i] in cache))
+        else:
+            programs.append(((), None))
+            out[k] = DecodeFailure(k, miss, "cache_miss")
+    payloads = {x: b.payload for x, b in broadcasts.items()}
+    size = instance.subfile_size
+    (failures,) = _run_lanes(plan, programs, contents, payloads, 1, size)
+    for failure in failures:
+        out[failure.user] = failure
+    return out
 
 
 def rate(grid: PdaGrid) -> Fraction:
@@ -298,15 +395,80 @@ def rate(grid: PdaGrid) -> Fraction:
 
 
 def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
-    """The full pipeline: place, deliver, decode, measure.  One decode
-    gives both the verdicts and the failing users' rows and reasons."""
+    """The full pipeline: place, deliver, decode, measure.  Decoding runs
+    the plan's programs, which assume the placement `place` made."""
     placement = place(grid, instance)
     broadcasts = deliver(grid, instance, placement)
-    outcome = _decode(grid, instance, placement, broadcasts)
+    plan, _, contents = _session(grid, instance)
+    payloads = {x: b.payload for x, b in broadcasts.items()}
+    (failures,) = _run_lanes(
+        plan, plan.programs, contents, payloads, 1, instance.subfile_size
+    )
+    failed = {f.user for f in failures}
     return CachingTranscript(
         placement=placement,
         broadcasts=broadcasts,
-        decoded=tuple([f is None for f in outcome]),
+        decoded=tuple([k not in failed for k in range(grid.k)]),
         rate=rate(grid),
-        failures=tuple([f for f in outcome if f is not None]),
+        failures=failures,
     )
+
+
+def simulate_many(
+    grid: PdaGrid,
+    n_files: int,
+    demand_vectors: Iterable[Sequence[int]],
+    seed: int = 0,
+    subfile_size: int = 16,
+) -> list[tuple[DecodeFailure, ...]]:
+    """For each demand vector, in order, the `failures` that `simulate`
+    gives for it with the same seed and subfile size.
+
+    Vectors are consumed lazily, in chunks of lanes whose packed contents
+    and payloads fit _LANE_BITS; each chunk is one run of the programs.
+    """
+    _check_sizes(n_files, subfile_size)
+    plan = _plan(grid)
+    held = len(plan.cells) + len(plan.symbols)
+    per_chunk = max(1, _LANE_BITS // (8 * subfile_size * max(held, 1)))
+    vectors = iter(demand_vectors)
+    out: list[tuple[DecodeFailure, ...]] = []
+    while chunk := list(itertools.islice(vectors, per_chunk)):
+        packed = _pack(plan, grid.k, n_files, chunk, seed, subfile_size)
+        payloads = _payloads(plan, packed)
+        lanes = len(chunk)
+        out += _run_lanes(plan, plan.programs, packed, payloads, lanes, subfile_size)
+    return out
+
+
+def _pack(
+    plan: _Plan,
+    k: int,
+    n_files: int,
+    chunk: list[Sequence[int]],
+    seed: int,
+    size: int,
+) -> list[int]:
+    """Each plan cell's content with vector v of chunk in lane v: the
+    lanes' contents concatenated little-endian, which is
+    sum_f content(f, j) * M[u][f] computed without a multiplication."""
+    if any(len(demands) != k for demands in chunk):
+        raise PdaUsageError("demands must list one file per user")
+    by_user = list(zip(*chunk))  # by_user[u][v]: the file vector v asks u for
+    for column in by_user:
+        for dem in (min(column), max(column)):
+            if not 0 <= dem < n_files:
+                raise PdaUsageError(f"demand {dem} outside [0, {n_files})")
+    files = set().union(*by_user)
+    rows: dict[int, dict[int, bytes]] = {}
+    packed = []
+    for u, j in plan.cells:
+        lanes = rows.get(j)
+        if lanes is None:
+            lanes = rows[j] = {
+                f: subfile_content(seed, f, j, size).to_bytes(size, "little")
+                for f in files
+            }
+        lane_bytes = b"".join(map(lanes.__getitem__, by_user[u]))
+        packed.append(int.from_bytes(lane_bytes, "little"))
+    return packed

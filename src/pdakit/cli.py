@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,19 @@ from . import caching, constructions, core, formats, search
 from .core import PdaGrid, PdaUsageError, verify
 
 DEFAULT_BUDGET_SECONDS = 60.0
+
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optionally signed integer in ASCII decimal digits; surrounding
+    spaces are ignored.  Plain int() also reads other scripts' digits (an
+    Arabic-Indic six as 6) and underscores (`1_0` as 10).  Every integer
+    option parses through this, and argparse names it when it raises."""
+    digits = text.strip()
+    if not _INTEGER_RE.fullmatch(digits):
+        raise PdaUsageError(f"bad integer {text!r}; use ASCII digits")
+    return int(digits)
 
 
 def _parse_budget(text: str) -> float:
@@ -85,8 +99,8 @@ def _parse_z(text: str, f: int) -> int:
     if text.strip().lower() in ("f-2", "f−2"):
         return f - 2
     try:
-        return int(text)
-    except ValueError:
+        return integer(text)
+    except PdaUsageError:
         raise PdaUsageError(f"bad Z {text!r}; give an integer or f-2") from None
 
 
@@ -94,8 +108,8 @@ def _csv_ints(text: str) -> list[int]:
     if not text.strip():
         return []
     try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
+        return [integer(t) for t in text.split(",")]
+    except PdaUsageError:
         raise PdaUsageError(f"bad integer list {text!r}") from None
 
 
@@ -276,57 +290,53 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise PdaUsageError(
                 f"--all-demands would enumerate {total} assignments; too many"
             )
-        assignments = itertools.product(range(args.files), repeat=grid.k)
+        choices = [range(args.files)] * grid.k
     else:
         demands = _csv_ints(args.demands)
         if len(demands) != grid.k:
             raise PdaUsageError(f"need {grid.k} demands, got {len(demands)}")
-        assignments = iter([tuple(demands)])
-    first_failure = None
-    count = 0
-    for demands in assignments:
-        instance = caching.CachingInstance.for_grid(
-            grid,
-            n_files=args.files,
-            demands=tuple(demands),
-            seed=args.seed,
-            subfile_size=args.subfile_bytes,
-        )
-        transcript = caching.simulate(grid, instance)
-        if first_failure is None and transcript.failures:
-            failure = transcript.failures[0]
-            first_failure = {
-                "demands": list(demands),
-                "user": failure.user,
-                "row": failure.row,
-                "reason": failure.reason,
-            }
-        count += 1
+        choices = [[d] for d in demands]
+    outcomes = caching.simulate_many(
+        grid,
+        args.files,
+        itertools.product(*choices),
+        seed=args.seed,
+        subfile_size=args.subfile_bytes,
+    )
+    failed = next(
+        ((d, f) for d, f in zip(itertools.product(*choices), outcomes) if f), None
+    )
     obj = {
         "rate": str(caching.rate(grid)),
         "broadcasts": grid.s_used(),
-        "decoded_all": first_failure is None,
-        "assignments": count,
+        "decoded_all": failed is None,
+        "assignments": len(outcomes),
     }
-    if first_failure is not None:
-        obj["first_failure"] = first_failure
+    if failed is not None:
+        demands, (failure, *_) = failed
+        obj["first_failure"] = {
+            "demands": list(demands),
+            "user": failure.user,
+            "row": failure.row,
+            "reason": failure.reason,
+        }
     _emit(obj)
-    return 0 if first_failure is None else 1
+    return 0 if failed is None else 1
 
 
 def _parse_f_range(text: str) -> list[int]:
     if ".." in text:
         lo_txt, hi_txt = text.split("..", 1)
         try:
-            lo, hi = int(lo_txt), int(hi_txt)
-        except ValueError:
+            lo, hi = integer(lo_txt), integer(hi_txt)
+        except PdaUsageError:
             raise PdaUsageError(f"bad range {text!r}; use e.g. 2..6") from None
         if lo > hi:
             raise PdaUsageError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     try:
-        return [int(text)]
-    except ValueError:
+        return [integer(text)]
+    except PdaUsageError:
         raise PdaUsageError(f"bad F value {text!r}") from None
 
 
@@ -369,7 +379,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", help="time budget, e.g. 60s or 5m")
     p.add_argument(
         "--nodes",
-        type=int,
+        type=integer,
         help="node budget: column placements, or hole subsets placed when Z = F-2",
     )
 
@@ -385,20 +395,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a grid from a named construction")
     con = p.add_subparsers(dest="kind", required=True)
     p_mn = con.add_parser("mn", help="binomial subset grid (C(F,Z), F, Z, C(F,Z+1))")
-    p_mn.add_argument("--f", type=int, required=True)
-    p_mn.add_argument("--z", type=int, required=True)
+    p_mn.add_argument("--f", type=integer, required=True)
+    p_mn.add_argument("--z", type=integer, required=True)
     p_opt = con.add_parser("opt2", help="Z = F-2 grid with the closed-form K")
-    p_opt.add_argument("--f", type=int, required=True)
-    p_opt.add_argument("--s", type=int, required=True)
+    p_opt.add_argument("--f", type=integer, required=True)
+    p_opt.add_argument("--s", type=integer, required=True)
     p_f2 = con.add_parser("f2", help="two-row base grid, floor(S/2) columns")
-    p_f2.add_argument("--s", type=int, required=True)
+    p_f2.add_argument("--s", type=integer, required=True)
     for q in (p_mn, p_opt, p_f2):
         _add_out_flags(q)
         q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check the PDA properties")
     p.add_argument("file", help="grid file or - for stdin")
-    p.add_argument("--z", type=int, help="also require exactly Z stars per column")
+    p.add_argument("--z", type=integer, help="also require exactly Z stars per column")
     p.add_argument(
         "--structural",
         action="store_true",
@@ -443,31 +453,31 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_transform)
     q = tr.add_parser("replicate", help="m disjoint-symbol copies")
     q.add_argument("file")
-    q.add_argument("--m", type=int, required=True)
+    q.add_argument("--m", type=integer, required=True)
     _add_out_flags(q)
     q.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("bound", help="print bounds, or refute a claimed K")
-    p.add_argument("--k", type=int)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--k", type=integer)
+    p.add_argument("--f", type=integer, required=True)
     p.add_argument("--z", required=True, help="integer or f-2")
-    p.add_argument("--s", type=int)
-    p.add_argument("--refute", type=int, metavar="K", help="PJD check of a claimed K")
+    p.add_argument("--s", type=integer)
+    p.add_argument("--refute", type=integer, metavar="K", help="PJD check of a claimed K")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("search", help="exhaustive optimum search")
     se = p.add_subparsers(dest="mode", required=True)
     q = se.add_parser("maxk", help="maximum K at fixed (F, Z, S)")
-    q.add_argument("--f", type=int, required=True)
-    q.add_argument("--z", type=int, required=True)
-    q.add_argument("--s", type=int, required=True)
+    q.add_argument("--f", type=integer, required=True)
+    q.add_argument("--z", type=integer, required=True)
+    q.add_argument("--s", type=integer, required=True)
     _add_budget_flags(q)
     q.add_argument("--out", help="write the witness grid here")
     q.set_defaults(func=_cmd_search)
     q = se.add_parser("mins", help="minimum S at fixed (K, F, Z)")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--f", type=int, required=True)
-    q.add_argument("--z", type=int, required=True)
+    q.add_argument("--k", type=integer, required=True)
+    q.add_argument("--f", type=integer, required=True)
+    q.add_argument("--z", type=integer, required=True)
     _add_budget_flags(q)
     q.add_argument("--out", help="write the witness grid here")
     q.set_defaults(func=_cmd_search)
@@ -481,18 +491,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the induced caching scheme")
     p.add_argument("--pda", required=True, help="grid file or - for stdin")
-    p.add_argument("--files", type=int, required=True, help="library size N")
+    p.add_argument("--files", type=integer, required=True, help="library size N")
     p.add_argument("--demands", help="comma-separated demanded file per user")
     p.add_argument(
         "--all-demands", action="store_true", help="exhaust all N^K assignments"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subfile-bytes", type=int, default=16)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--subfile-bytes", type=integer, default=16)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("catalog", help="formula vs search table for Z = F-2")
     p.add_argument("--f", required=True, help="F or range, e.g. 2..6")
-    p.add_argument("--s-max", type=int, required=True)
+    p.add_argument("--s-max", type=integer, required=True)
     p.add_argument("--budget", help="per-cell search budget")
     p.set_defaults(func=_cmd_catalog)
 

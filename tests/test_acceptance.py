@@ -112,22 +112,22 @@ def test_criterion_6_operational_decodability(corpus, rng):
         n_files = 3
         for name, g in corpus:
             if g.k <= 6:
-                assignments = itertools.product(range(n_files), repeat=g.k)
+                assignments = list(itertools.product(range(n_files), repeat=g.k))
             else:
-                assignments = (
+                assignments = [
                     tuple(rng.randrange(n_files) for _ in range(g.k))
                     for _ in range(100)
-                )
-            first = True
-            for demands in assignments:
-                inst = CachingInstance.for_grid(
-                    g, n_files=n_files, demands=demands, subfile_size=4
-                )
-                out = pk.simulate(g, inst)
-                assert all(out.decoded), (name, demands)
-                if first:
-                    assert len(out.broadcasts) == g.s_used(), name
-                    first = False
+                ]
+            inst = CachingInstance.for_grid(
+                g, n_files=n_files, demands=assignments[0], subfile_size=4
+            )
+            out = pk.simulate(g, inst)
+            assert all(out.decoded), (name, assignments[0])
+            assert len(out.broadcasts) == g.s_used(), name
+            outcomes = pk.simulate_many(g, n_files, assignments, subfile_size=4)
+            assert len(outcomes) == len(assignments), name
+            for demands, failures in zip(assignments, outcomes):
+                assert failures == (), (name, demands)
         for f in range(2, 9):
             for z in range(1, f):
                 expected = Fraction(math.comb(f, z + 1), f)

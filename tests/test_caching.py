@@ -8,6 +8,7 @@ fail for at least one.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,55 @@ class TestFailures:
         reasons = caching._decode(IDENTITY_2, inst, {1: placement[1]}, broadcasts)
         assert reasons[0] == pk.DecodeFailure(user=0, row=0, reason="cache_miss")
         assert reasons[1] is None
+
+
+class TestSimulateMany:
+    def test_one_failures_tuple_per_vector(self):
+        bad = grid([[0, STAR], [1, 0]], s=2)
+        vectors = list(itertools.product(range(2), repeat=2))
+        many = pk.simulate_many(bad, 2, iter(vectors))
+        assert many == [
+            pk.simulate(bad, CachingInstance.for_grid(bad, n_files=2, demands=d)).failures
+            for d in vectors
+        ]
+        assert pk.simulate_many(bad, 2, []) == []
+
+    def test_chunks_do_not_change_the_answer(self, monkeypatch):
+        g = pk.concat(pk.mn_pda(3, 1), grid([[2, STAR], [0, STAR], [1, 0]], s=3))
+        vectors = list(itertools.product(range(2), repeat=g.k))
+        whole = pk.simulate_many(g, 2, vectors, seed=3, subfile_size=2)
+        monkeypatch.setattr(caching, "_LANE_BITS", 1)
+        assert pk.simulate_many(g, 2, vectors, seed=3, subfile_size=2) == whole
+        assert len(set(whole)) == 1 and whole[0]
+
+    def test_validation_errors(self):
+        g = pk.mn_pda(3, 1)
+        for n_files, vectors, size in (
+            (0, [(0, 0, 0)], 16),
+            (2, [(0, 0, 0)], 0),
+            (2, [(0, 0)], 16),
+            (2, [(0, 0, 0), (0, 2, 0)], 16),
+            (2, [(0, -1, 0)], 16),
+        ):
+            with pytest.raises(PdaUsageError):
+                pk.simulate_many(g, n_files, vectors, subfile_size=size)
+
+    def test_memory_is_bounded_by_the_chunk_not_the_vector_count(self):
+        # 3^8 vectors of 4 KiB subfiles: one vector's 8 packed cells and 1
+        # payload take 9 x 4 KiB, so all vectors at once would take about
+        # 240 MB.  Chunks cap the packed content at _LANE_BITS (2 MiB).
+        g = pk.mn_pda(8, 7)
+        assert (g.k, g.s_used()) == (8, 1)
+        tracemalloc.start()
+        try:
+            many = pk.simulate_many(
+                g, 3, itertools.product(range(3), repeat=g.k), subfile_size=4096
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(many) == 3**8 and not any(many)
+        assert peak < 8 * 2**20, peak
 
 
 class TestRate:

@@ -4,14 +4,18 @@ The reference below reads the grid one `cell()` at a time on every call,
 the way the scheme is defined.  The library compiles each grid once and
 works from the compiled plan; both must give equal placements, broadcasts
 (terms and payloads) and decode verdicts, on valid grids, on an invalid
-grid, and on tampered or incomplete inputs to `decode`.
+grid, and on tampered or incomplete inputs to `decode`.  `simulate_many`,
+which runs many demand vectors as bit lanes, must give every vector the
+failures that a per-session `simulate` gives it.
 """
 
 import itertools
 import random
 
+import pytest
+
 import pdakit as pk
-from pdakit import Broadcast, CachingInstance, PdaGrid
+from pdakit import Broadcast, CachingInstance, PdaGrid, caching
 
 STAR = None
 
@@ -92,6 +96,7 @@ def assert_same_session(grid, instance):
 
 def test_corpus_with_seeded_random_demands(corpus):
     rng = random.Random(4242)
+    lanes_rng = random.Random(5150)
     for name, g in corpus:
         for _ in range(3):
             n_files = rng.randint(1, 4)
@@ -102,6 +107,16 @@ def test_corpus_with_seeded_random_demands(corpus):
             )
             _, _, decoded = assert_same_session(g, inst)
             assert all(decoded), (name, demands)
+            assert pk.simulate(g, inst).decoded == decoded, (name, demands)
+        # A seeded demand set in lanes, against per-session simulate, which
+        # the sessions above check against the reference.
+        n_files = lanes_rng.randint(1, 4)
+        vectors = [
+            tuple(lanes_rng.randrange(n_files) for _ in range(g.k)) for _ in range(4)
+        ]
+        seed, size = lanes_rng.randrange(1 << 16), lanes_rng.choice((1, 4, 33))
+        many = assert_many_matches(g, n_files, vectors, seed, size, reference=False)
+        assert many == [()] * len(vectors), name
 
 
 def test_corner_violation_grid():
@@ -150,3 +165,99 @@ def test_placement_missing_one_foreign_term():
     assert got == ref_decode(g, inst, trimmed, broadcasts)
     assert got[0] is False
     assert all(got[1:])
+
+
+# ---------------------------------------------------------------------------
+# simulate_many: each demand vector in its own bit lane.
+
+
+def ref_verdicts(grid, instance):
+    placement = ref_place(grid, instance)
+    return ref_decode(grid, instance, placement, ref_deliver(grid, instance, placement))
+
+
+def assert_many_matches(grid, n_files, vectors, seed=0, size=16, reference=True):
+    """simulate_many against per-session simulate and, unless told not to,
+    the reference decode, vector by vector; returns the per-vector failures."""
+    many = pk.simulate_many(grid, n_files, vectors, seed=seed, subfile_size=size)
+    assert len(many) == len(vectors)
+    for demands, failures in zip(vectors, many):
+        inst = CachingInstance.for_grid(
+            grid, n_files=n_files, demands=demands, seed=seed, subfile_size=size
+        )
+        out = pk.simulate(grid, inst)
+        assert failures == out.failures, demands
+        failed = {f.user for f in failures}
+        assert tuple(k not in failed for k in range(grid.k)) == out.decoded, demands
+        if reference:
+            assert out.decoded == ref_verdicts(grid, inst), demands
+    return many
+
+
+def test_simulate_many_on_the_corner_violation_grid():
+    bad = PdaGrid.from_rows([[0, STAR], [1, 0]], s=2)
+    for n_files, size in ((2, 16), (3, 1), (3, 5)):
+        vectors = list(itertools.product(range(n_files), repeat=2))
+        many = assert_many_matches(bad, n_files, vectors, seed=n_files, size=size)
+        assert all(many)
+
+
+def test_simulate_many_after_checked_cells():
+    # User 0 XOR-checks row 0 (symbol 2, no foreign term), then misses the
+    # foreign term of row 1: symbol 0's other cell sits in row 2, which user
+    # 0 does not star.  User 1 decodes.
+    g = PdaGrid.from_rows([[2, STAR], [0, STAR], [1, 0]], s=3)
+    steps, stop = caching._plan(g).programs[0]
+    assert [j for j, _, _ in steps] == [0] and stop == (1, 0)
+    vectors = list(itertools.product(range(3), repeat=2))
+    many = assert_many_matches(g, 3, vectors, seed=7, size=3)
+    assert set(many) == {(pk.DecodeFailure(user=0, row=1, reason="cache_miss"),)}
+
+
+def test_lanes_name_each_vectors_mismatch():
+    # A payload tampered in one lane fails exactly that vector, as a
+    # per-session decode of the same tampered payload does.
+    g = pk.mn_pda(4, 2)
+    vectors = [(0, 1, 2, 0, 1, 2), (2, 2, 2, 2, 2, 2), (1, 0, 1, 0, 1, 0)]
+    size, seed = 5, 11
+    plan = caching._plan(g)
+    packed = caching._pack(plan, g.k, 3, vectors, seed, size)
+    payloads = caching._payloads(plan, packed)
+    payloads[2] ^= 1 << (8 * size)  # lowest bit of lane 1
+    lanes = caching._run_lanes(plan, plan.programs, packed, payloads, 3, size)
+    assert lanes[0] == lanes[2] == ()
+    inst = CachingInstance.for_grid(g, n_files=3, demands=vectors[1], seed=seed, subfile_size=size)
+    placement = pk.place(g, inst)
+    broadcasts = dict(pk.deliver(g, inst, placement))
+    b = broadcasts[2]
+    broadcasts[2] = Broadcast(symbol=2, terms=b.terms, payload=b.payload ^ 1)
+    want = tuple(f for f in caching._decode(g, inst, placement, broadcasts) if f)
+    assert lanes[1] == want
+    assert {f.reason for f in want} == {"mismatch"}
+    assert ref_decode(g, inst, placement, broadcasts) == tuple(
+        k not in {f.user for f in want} for k in range(g.k)
+    )
+
+
+def test_simulate_many_property_on_small_grids():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        f, k, s = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        cells = draw(st.lists(st.one_of(st.none(), st.integers(0, s - 1)),
+                              min_size=f * k, max_size=f * k))
+        n_files = draw(st.integers(1, 3))
+        vectors = draw(st.lists(st.tuples(*[st.integers(0, n_files - 1)] * k),
+                                min_size=1, max_size=6))
+        return PdaGrid(f=f, k=k, s=s, cells=tuple(cells)), n_files, vectors
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cases(), st.integers(0, 3), st.integers(1, 3))
+    def check(case, seed, size):
+        grid, n_files, vectors = case
+        assert_many_matches(grid, n_files, vectors, seed, size)
+
+    check()

@@ -6,6 +6,7 @@ exercised exactly as a shell user sees them.  Exit code contract: 0 for
 success/valid, 1 for a falsified claim, 2 for usage or format errors.
 """
 
+import io
 import json
 import os
 import resource
@@ -15,6 +16,7 @@ import time
 from pathlib import Path
 
 import pdakit as pk
+from pdakit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -482,6 +484,64 @@ class TestCatalog:
             assert proc.returncode == 2, s_max
             assert proc.stdout == "", s_max
             assert "--s-max" in proc.stderr, s_max
+
+
+class TestStrictIntegers:
+    """Every integer argument takes ASCII decimal digits only: int() alone
+    would read other scripts' digits and underscores as numbers."""
+
+    MN_3_1 = pk.render(pk.mn_pda(3, 1))
+    REJECTED = [
+        (["bound", "--f", "4", "--z", "2", "--s", "\u0666"], None, "\u0666"),
+        (["bound", "--f", "4", "--z", "\u0662", "--s", "6"], None, "\u0662"),
+        (["construct", "mn", "--f", "1_0", "--z", "2"], None, "1_0"),
+        (["construct", "f2", "--s", "\u00b2"], None, "\u00b2"),
+        (["verify", "-", "--z", "1.0"], MN_3_1, "1.0"),
+        (["transform", "replicate", "-", "--m", "\u0662"], MN_3_1, "\u0662"),
+        (["transform", "permute", "-", "--rows", "0,\u0662,1"], MN_3_1, "\u0662"),
+        (["search", "maxk", "--f", "4", "--z", "2", "--s", "4", "--nodes", "1_000"],
+         None, "1_000"),
+        (["simulate", "--pda", "-", "--files", "2", "--demands", "1_0,0,0"],
+         MN_3_1, "1_0"),
+        (["simulate", "--pda", "-", "--files", "\u0662", "--all-demands"],
+         MN_3_1, "\u0662"),
+        (["simulate", "--pda", "-", "--files", "2", "--all-demands",
+          "--subfile-bytes", "\u0664"], MN_3_1, "\u0664"),
+        (["catalog", "--f", "2..\u0663", "--s-max", "2"], None, "\u0663"),
+        (["catalog", "--f", "\u0663", "--s-max", "2"], None, "\u0663"),
+    ]
+
+    def run_main(self, argv, stdin, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_other_digits_and_underscores_exit_two(self, capsys, monkeypatch):
+        for argv, stdin, token in self.REJECTED:
+            code, out, err = self.run_main(argv, stdin, capsys, monkeypatch)
+            assert code == 2, argv
+            assert out == "", argv
+            assert token in err and "Traceback" not in err, (argv, err)
+
+    def test_signs_and_spaces_still_parse(self, capsys, monkeypatch):
+        code, out, _ = self.run_main(
+            ["simulate", "--pda", "-", "--files", "+2", "--demands", " 0, 1 ,0 "],
+            self.MN_3_1, capsys, monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out)["assignments"] == 1
+        code, _, err = self.run_main(
+            ["simulate", "--pda", "-", "--files", "-1", "--all-demands"],
+            self.MN_3_1, capsys, monkeypatch,
+        )
+        assert code == 2 and "need at least one file" in err
+
+    def test_one_subprocess_sees_the_same(self):
+        proc = run_cli("bound", "--f", "4", "--z", "2", "--s", "\u0666")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "invalid integer value" in proc.stderr
 
 
 class TestHelp:
