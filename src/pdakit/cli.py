@@ -46,19 +46,26 @@ def integer(text: str) -> int:
     return int(digits)
 
 
+_BUDGET_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([smhSMH]?)")
+_UNIT_SECONDS = {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}
+
+
 def _parse_budget(text: str) -> float:
-    """Accept `45`, `45s`, `3m`, `0.5h` (seconds when unitless)."""
-    text = text.strip().lower()
-    scale = 1.0
-    if text.endswith(("s", "m", "h")):
-        scale = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
-        text = text[:-1]
-    try:
-        value = float(text) * scale
-    except ValueError:
-        raise PdaUsageError(f"bad budget {text!r}; use e.g. 60s, 5m") from None
+    """Accept `45`, `45s`, `3m`, `0.5h` (seconds when unitless): ASCII
+    digits as `integer` reads them, with at most one decimal point, then an
+    optional unit.  Plain float() would also read other scripts' digits,
+    underscores and exponents."""
+    match = _BUDGET_RE.fullmatch(text.strip())
+    if not match:
+        raise PdaUsageError(
+            f"bad budget {text!r}; use a positive finite number in ASCII digits,"
+            " e.g. 60s, 5m"
+        )
+    value = float(match[1]) * _UNIT_SECONDS[match[2].lower()]
     if not math.isfinite(value) or value <= 0:
-        raise PdaUsageError("budget must be a positive finite number of seconds")
+        raise PdaUsageError(
+            f"budget {text!r} must be a positive finite number of seconds"
+        )
     return value
 
 
@@ -68,7 +75,7 @@ def _default_budget() -> float:
 
 
 def _time_budget(args: argparse.Namespace) -> float:
-    return _parse_budget(args.budget) if args.budget else _default_budget()
+    return _default_budget() if args.budget is None else _parse_budget(args.budget)
 
 
 def _search_config(args: argparse.Namespace) -> search.SearchConfig:
@@ -380,7 +387,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--nodes",
         type=integer,
-        help="node budget: column placements, or hole subsets placed when Z = F-2",
+        help="node budget: column placements, or candidate hole subsets when Z = F-2",
     )
 
 

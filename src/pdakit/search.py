@@ -75,7 +75,11 @@ blossom matching.  Its arguments:
   left.  Both breaks hold at once: sort the rows by hole count, then sort
   the symbols, which leaves the row counts alone.
 
-A board-path node is one placed hole subset.  The witness's rows are
+A board-path node is one candidate hole subset, counted whether or not
+the search descends into it.  The row counts live in one int, w bits per
+row, so a candidate's child counts are one addition away; the row break is
+tested on them, through a bounded memo, before the search descends, and a
+dead candidate costs two dictionary lookups.  The witness's rows are
 relabeled so that its first column stars rows 0..Z-1.
 
 max_k scans target K downward from the certified cap, min_s scans S upward
@@ -104,8 +108,8 @@ from .core import Cell, PdaGrid, PdaUsageError, verify
 class SearchConfig:
     """Budgets and strategy knobs for the exhaustive searches.
 
-    time_budget is wall seconds, node_budget counts column placements (hole
-    subsets placed, for Z = F-2); whichever runs out first aborts the
+    time_budget is wall seconds, node_budget counts column placements
+    (candidate hole subsets, for Z = F-2); whichever runs out first aborts the
     search, and nodes_visited never exceeds node_budget.  The clock is read
     on the first node and then every 1024 nodes, so a time abort lands
     within 1024 nodes of the deadline.  The search is sequential and
@@ -397,19 +401,50 @@ def _board_pairs(f: int, s: int, holes: list[int]) -> list[_Pair] | None:
             if not (holes[x] >> r) & 1:
                 ids[x][r] = len(cells)
                 cells.append((r, x))
+    hole_syms = [[x for x in range(s) if (holes[x] >> r) & 1] for r in range(f)]
     adj: list[list[int]] = []
     for r1, x1 in cells:
         partners = []
-        for x2 in range(s):
-            if (holes[x2] >> r1) & 1:
-                rows = holes[x1] & ~holes[x2]
-                while rows:
-                    low = rows & -rows
-                    partners.append(ids[x2][low.bit_length() - 1])
-                    rows ^= low
+        for x2 in hole_syms[r1]:
+            rows = holes[x1] & ~holes[x2]
+            while rows:
+                low = rows & -rows
+                partners.append(ids[x2][low.bit_length() - 1])
+                rows ^= low
         adj.append(partners)
     mate = _max_matching(adj)
     return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
+
+
+def _row_increment(mask: int, w: int) -> int:
+    """The packed row counts of one hole subset: a 1 in the w-bit field of
+    each row in mask (row r's field starts at bit r*w)."""
+    inc = 0
+    while mask:
+        low = mask & -mask
+        inc |= 1 << w * (low.bit_length() - 1)
+        mask ^= low
+    return inc
+
+
+def _row_break_need(packed: int, f: int, w: int) -> int:
+    """Holes the row break still needs: raise each of the F packed row
+    counts to the largest count in a row below it, and sum the raises."""
+    field = (1 << w) - 1
+    need = top = 0
+    for shift in range(w * (f - 1), -1, -w):
+        count = (packed >> shift) & field
+        if count > top:
+            top = count
+        else:
+            need += top - count
+    return need
+
+
+# Entries in each of a board level's two memos.  A full memo is cleared:
+# that bounds both (about 2.5 MiB together at F = 40) and keeps the entries
+# of the subtree being searched, which a memo that stops growing would not.
+_MEMO_CAP = 1 << 13
 
 
 def _board_feasible(
@@ -423,7 +458,12 @@ def _board_feasible(
     start, start_count = time.monotonic(), budget.count
     full = (1 << f) - 1
     holes = [0] * s
-    row_holes = [0] * f
+    # Row hole counts packed w bits per row, row r at bit r*w; a count never
+    # exceeds S, so w leaves a spare bit.
+    w = s.bit_length() + 1
+    incs: dict[int, int] = {}  # mask -> its packed row increment
+    needs: dict[int, int] = {}  # packed counts -> the row break's need
+    spend = budget.spend
     best: list[_Pair] = []
 
     def leaf() -> str:
@@ -435,36 +475,42 @@ def _board_feasible(
             best = pairs
         return _FOUND if len(pairs) == target else _EXHAUSTED
 
-    def place(x: int, size: int, mask: int, left: int) -> str:
-        # Row break: every row must reach the largest hole count below it.
-        need = top = 0
-        for count in reversed(row_holes):
-            top = max(top, count)
-            need += top - count
-        if need > left:
-            return _EXHAUSTED
+    def place(x: int, size: int, mask: int, left: int, packed: int) -> str:
         rem = s - x
         if rem == 0:
             return leaf()
         # Later symbols take subsets no smaller than this one, at most F each.
         for sz in range(max(size, left - f * (rem - 1)), min(f, left // rem) + 1):
             m = mask if sz == size else (1 << sz) - 1
+            rest = left - sz
             while m <= full:
-                if not budget.spend():
+                if not spend():
                     return _ABORT
-                holes[x] = m
-                for r in range(f):
-                    row_holes[r] += (m >> r) & 1
-                code = place(x + 1, sz, m, left - sz)
-                for r in range(f):
-                    row_holes[r] -= (m >> r) & 1
-                if code != _EXHAUSTED:
-                    return code
+                inc = incs.get(m)
+                if inc is None:
+                    inc = _row_increment(m, w)
+                    if len(incs) == _MEMO_CAP:
+                        incs.clear()
+                    incs[m] = inc
+                child = packed + inc
+                need = needs.get(child)
+                if need is None:
+                    need = _row_break_need(child, f, w)
+                    if len(needs) == _MEMO_CAP:
+                        needs.clear()
+                    needs[child] = need
+                # Row break: a child that cannot make its counts
+                # non-increasing with the holes left is a dead node.
+                if need <= rest:
+                    holes[x] = m
+                    code = place(x + 1, sz, m, rest, child)
+                    if code != _EXHAUSTED:
+                        return code
                 low = m & -m  # next mask of the same size (Gosper)
                 m = (((m + low) ^ m) >> 2) // low | (m + low)
         return _EXHAUSTED
 
-    code = place(0, 1, 1, f * s - 2 * target)
+    code = place(0, 1, 1, f * s - 2 * target, 0)
     if best:
         # Row symmetry: move the first column's two rows to F-2 and F-1.
         (a, _), (b, _) = best[0]

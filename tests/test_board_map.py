@@ -3,8 +3,9 @@
 A Z = F-2 grid is a perfect matching on an F x S board: a hole is a board
 cell (row, symbol) where the symbol misses the row, and each column pairs
 two occupied cells whose anti-corners are holes.  These tests check that
-map on relabeled constructions and on their column subsets, and check the
-blossom matcher against brute force.
+map on relabeled constructions and on their column subsets, the blossom
+matcher against brute force, and the search's packed row counts and row
+break against a plain list of counts.
 """
 
 import itertools
@@ -152,3 +153,34 @@ def test_blossom_matching_is_maximum(adj):
             assert mate[u] == v
             assert (min(u, v), max(u, v)) in edges
     assert sum(u != -1 for u in mate) // 2 == brute_matching(n, edges)
+
+
+@st.composite
+def row_counts(draw) -> tuple[int, int, list[int], int]:
+    """(F, S, per-row hole counts below S, a hole subset): the state the
+    board search holds before it places one more symbol's holes."""
+    f = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 40))
+    counts = draw(st.lists(st.integers(0, s - 1), min_size=f, max_size=f))
+    mask = draw(st.integers(1, (1 << f) - 1))
+    return f, s, counts, mask
+
+
+@SETTINGS
+@given(row_counts())
+def test_packed_row_break_matches_the_row_list(case):
+    # The row counts as a list, updated bit by bit, and the row break's
+    # deficit as a reversed running-max loop over that list.
+    f, s, counts, mask = case
+    w = s.bit_length() + 1
+    packed = sum(c << r * w for r, c in enumerate(counts))
+    child = packed + search._row_increment(mask, w)
+    row_holes = [c + ((mask >> r) & 1) for r, c in enumerate(counts)]
+    field = (1 << w) - 1
+    assert [(child >> r * w) & field for r in range(f)] == row_holes
+    for state, rows in [(packed, counts), (child, row_holes)]:
+        need = top = 0
+        for count in reversed(rows):
+            top = max(top, count)
+            need += top - count
+        assert search._row_break_need(state, f, w) == need

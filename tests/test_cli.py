@@ -487,8 +487,9 @@ class TestCatalog:
 
 
 class TestStrictIntegers:
-    """Every integer argument takes ASCII decimal digits only: int() alone
-    would read other scripts' digits and underscores as numbers."""
+    """Every integer argument and time budget takes ASCII decimal digits
+    only: int() and float() alone would read other scripts' digits and
+    underscores as numbers."""
 
     MN_3_1 = pk.render(pk.mn_pda(3, 1))
     REJECTED = [
@@ -536,6 +537,43 @@ class TestStrictIntegers:
             self.MN_3_1, capsys, monkeypatch,
         )
         assert code == 2 and "need at least one file" in err
+
+    MAXK_4_2_4 = ["search", "maxk", "--f", "4", "--z", "2", "--s", "4"]
+    REJECTED_BUDGETS = [
+        "\u0666", "\u0661\u0660s", "1_0s", "1_0", "1e3", "1.5.0", "5 m",
+        "60\u017f", "0x10", " ",
+    ]
+
+    def test_budgets_take_ascii_digits_only(self, capsys, monkeypatch):
+        # The same rule as integers, plus one decimal point and a unit, for
+        # the --budget flag and for PDA_SEARCH_BUDGET.
+        for budget in self.REJECTED_BUDGETS:
+            for argv, env in [
+                (self.MAXK_4_2_4 + ["--budget", budget], None),
+                (self.MAXK_4_2_4, budget),
+            ]:
+                if env is None:
+                    monkeypatch.delenv("PDA_SEARCH_BUDGET", raising=False)
+                else:
+                    monkeypatch.setenv("PDA_SEARCH_BUDGET", env)
+                code, out, err = self.run_main(argv, None, capsys, monkeypatch)
+                assert code == 2, (budget, env)
+                assert out == "", (budget, env)
+                assert repr(budget) in err and "Traceback" not in err, err
+        # An empty flag is an error too; an empty variable means unset.
+        code, _, err = self.run_main(
+            self.MAXK_4_2_4 + ["--budget", ""], None, capsys, monkeypatch
+        )
+        assert code == 2 and "bad budget ''" in err
+
+    def test_budget_forms_still_parse(self, capsys, monkeypatch):
+        monkeypatch.delenv("PDA_SEARCH_BUDGET", raising=False)
+        for budget in ("60", " 60s ", "1.5m", ".5h", "2.", "+30S"):
+            code, out, _ = self.run_main(
+                self.MAXK_4_2_4 + ["--budget", budget], None, capsys, monkeypatch
+            )
+            assert code == 0, budget
+            assert json.loads(out.splitlines()[-1])["optimum"] == 6, budget
 
     def test_one_subprocess_sees_the_same(self):
         proc = run_cli("bound", "--f", "4", "--z", "2", "--s", "\u0666")

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -338,18 +339,44 @@ class TestBoardPath:
             compared += 1
         assert compared == 29
 
+    def test_reproduces_the_board_pins(self):
+        # Recorded before the row break was tested on packed row counts: a
+        # faster node that keeps the tree keeps every node count and first
+        # witness of the board path.
+        table = json.loads((GOLDEN / "search_witnesses.json").read_text())["board"]
+        runs = [(pk.max_k, row) for row in table["max_k"]]
+        runs += [(pk.min_s, row) for row in table["min_s"]]
+        assert len(runs) == 35
+        for run, (args, optimum, exhausted, nodes, digest) in runs:
+            out = run(*args, quick())
+            cells = json.dumps(out.witness.cells).encode()
+            got = (out.optimum, out.exhausted, out.nodes_visited)
+            assert got == (optimum, exhausted, nodes), (run.__name__, args)
+            assert hashlib.sha256(cells).hexdigest() == digest, (run.__name__, args)
+
     def test_budget_binds_on_hostile_shapes(self):
+        # A 40-row board has 2^40 masks: the row break's memos stay bounded,
+        # and a candidate the row break kills still counts as a node.
         for (f, z, s), cfg in [
             ((40, 38, 2), SearchConfig(node_budget=5)),
+            ((40, 38, 2), SearchConfig(time_budget=0.3)),
             ((5, 3, 7), SearchConfig(time_budget=1e-9)),
         ]:
-            start = time.perf_counter()
-            out = pk.max_k(f, z, s, cfg)
-            assert time.perf_counter() - start < 1.0, (f, z, s)
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                out = pk.max_k(f, z, s, cfg)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0, (f, z, s, cfg)
+            assert peak < 2 << 20, (f, z, s, cfg, peak)
             assert not out.exhausted
             assert out.nodes_visited <= cfg.node_budget
             assert out.witness.k == out.optimum
             assert pk.verify(out.witness, expected_z=z).valid
+        assert pk.max_k(40, 38, 2, SearchConfig(node_budget=5)).nodes_visited == 5
 
     def test_abort_witness_is_the_largest_matching(self):
         out = pk.max_k(5, 3, 7, quick(node_budget=3000))
