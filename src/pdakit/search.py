@@ -19,15 +19,31 @@ receive a label >= the fresh label it would have taken earlier; hence the
 greedy sequence has non-decreasing keys and first-use labels, i.e. the
 search tree contains a representative of every feasibility class.
 
-Row relabelings preserve validity too, and one of them is broken: the first
-column may only take star set index 0 (stars on rows 0..Z-1).  Relabel the
-rows of any witness so that some column's stars sit on rows 0..Z-1; that
-column then has the minimal major key, so the greedy order above puts such
-a column first.  Because the scan tries star sets in index order, the
-witness found is the one an unrestricted scan would find; only levels that
-exhaust without a witness visit fewer nodes.  The row permutations that
-still fix the first column (any order of rows 0..Z-1 and of rows Z..F-1)
-are not broken.
+Row relabelings preserve validity too, and a lex-leader rule breaks them
+(Crawford, Ginsberg, Luks & Roy, KR 1996).  Two rows are twins in a prefix
+when, in every prefix column, both are stars or both hold a symbol that
+occurs only once in the prefix.  Swapping two twins, together with the two
+singleton symbols of each column where they hold them, maps the labeled
+prefix to itself.  The rule: a new column's stars sit on the lowest rows of
+each twin class.  At the root all rows are twins, so the first column stars
+rows 0..Z-1.  Classes only split: a new column splits each class into its
+star rows and its other rows, and every row of a symbol the column reuses
+becomes a class of its own.  The allowed star sets are built per partition
+when the search first reaches it, in lex order of the star tuples, and kept
+in a bounded memo.
+
+The first witness does not move.  The scan tries columns in key order, so
+the first witness W of the unrestricted scan has the lex-least key sequence
+of all depth-K paths.  Suppose column j of W breaks the rule: rows r' < r
+are twins in W's first j columns, and column j stars r but not r'.  Swap
+them in W (with the singleton symbols).  The first j columns stay and
+column j's star tuple falls, so in that column order the new grid's key
+sequence is below W's.  The greedy order of the new grid, with ties broken
+toward that order, is no greater and is a depth-K path of the tree, which
+contradicts the choice of W.  So every column of W obeys the rule, and the
+restricted scan, which visits the surviving nodes in the same order, finds
+W first.  Optima, exhausted flags and first witnesses stay; node counts can
+only fall.
 
 Soundness: a column is admitted only if, for each of its symbols x, every
 earlier row of x is a star row of the new column and the new row is a star
@@ -90,7 +106,6 @@ SearchOutcome.levels.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -180,17 +195,73 @@ class _Budget:
         return True
 
 
-def _star_sets(f: int, z: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(mask, non-star rows) for every Z-subset of rows, in lex order of the
-    star tuples; the list index is the column key's major component."""
+# Capacity of each of a level's memos: entries of the board's row
+# increments and row-break needs, star sets of the column search's lists
+# per partition.  A full memo is cleared: that bounds it (about 2.5 MiB for
+# the board's two at F = 40) and keeps the entries of the subtree being
+# searched, which a memo that stops growing would not.
+_MEMO_CAP = 1 << 13
+
+
+def _allowed_star_sets(
+    f: int, z: int, classes: tuple[int, ...]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(key, mask, non-star rows) for every star set a column may take when
+    the prefix's twin-row classes of two or more rows are the bitmasks
+    classes (every other row is a class of its own): the lowest a_i rows of
+    each class i, with the a_i summing to Z.  Sorted by key, which follows
+    the lex order of the star tuples."""
+    covered = 0
+    for c in classes:
+        covered |= c
+    # Each class as its prefix masks: prefixes[i][a] stars its lowest a rows.
+    prefixes = []
+    for c in classes + tuple(1 << r for r in range(f) if not covered >> r & 1):
+        masks = [0]
+        while c:
+            low = c & -c
+            masks.append(masks[-1] | low)
+            c ^= low
+        prefixes.append(masks)
+    room = [0] * (len(prefixes) + 1)  # rows in the classes from i on
+    for i in range(len(prefixes) - 1, -1, -1):
+        room[i] = room[i + 1] + len(prefixes[i]) - 1
     out = []
-    for stars in itertools.combinations(range(f), z):
-        mask = 0
-        for r in stars:
-            mask |= 1 << r
-        nonstars = tuple(r for r in range(f) if r not in stars)
-        out.append((mask, nonstars))
+
+    def choose(i: int, left: int, mask: int) -> None:
+        if i == len(prefixes):
+            # Lex order of star tuples is descending order of the mask
+            # with row r at bit F-1-r.
+            key = (1 << f) - sum(1 << f - 1 - r for r in range(f) if mask >> r & 1)
+            nonstars = tuple(r for r in range(f) if not mask >> r & 1)
+            out.append((key, mask, nonstars))
+            return
+        masks = prefixes[i]
+        for a in range(max(0, left - room[i + 1]), min(len(masks) - 1, left) + 1):
+            choose(i + 1, left - a, mask | masks[a])
+
+    choose(0, z, 0)
+    out.sort()
     return out
+
+
+def _refine(classes: tuple[int, ...], stars: int, split: int) -> tuple[int, ...]:
+    """The twin-row classes after a column with star mask stars is appended:
+    each class splits into its star rows and its other rows, and the rows in
+    split (every row of a symbol the column reuses) leave their classes.
+    Only classes of two or more rows are kept, sorted."""
+    out = []
+    for c in classes:
+        c &= ~split
+        for part in (c & stars, c & ~stars):
+            if part & (part - 1):
+                out.append(part)
+    return tuple(sorted(out))
+
+
+# A placed column: (star-set key, non-star rows, symbols, twin classes after
+# the column).
+_Column = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _feasible(
@@ -200,19 +271,22 @@ def _feasible(
     witness on success, otherwise the deepest valid prefix reached (a
     witness for its own length)."""
     start, start_count = time.monotonic(), budget.count
-    sets = _star_sets(f, z)
+    # Twin classes -> their allowed star sets; held counts the star sets.
+    allowed: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    held = 0
+    root = ((1 << f) - 1,) if f >= 2 else ()  # all rows are twins at the root
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
-    cols: list[tuple[int, tuple[int, ...]]] = []  # (star-set index, symbols)
+    cols: list[_Column] = []
     used = 0  # symbols labeled so far; the next fresh symbol is `used`
     # Potential prune: the symbols must still be able to supply every cell.
     slack = s * (z + 1) - target * (f - z)
     deficit = 0  # sum over symbols of Z+1 minus their potential
     best = 0
-    best_cols: list[tuple[int, tuple[int, ...]]] = []
+    best_cols: list[_Column] = []
 
     def place_cells(
-        si: int,
+        key: int,
         mask: int,
         nonstars: tuple[int, ...],
         idx: int,
@@ -222,7 +296,13 @@ def _feasible(
     ) -> str:
         nonlocal used, deficit
         if idx == len(nonstars):
-            cols.append((si, syms))
+            split = 0
+            for x in syms:
+                rows = rows_of[x]
+                if rows & (rows - 1):  # a reused symbol: no row of it is a twin
+                    split |= rows
+            classes = cols[-1][3] if cols else root
+            cols.append((key, nonstars, syms, _refine(classes, mask, split)))
             code = descend(len(cols))
             if code != _FOUND:
                 cols.pop()
@@ -250,7 +330,7 @@ def _feasible(
             star_and[x] = old_and & mask
             deficit += loss
             code = place_cells(
-                si, mask, nonstars, idx + 1, syms + (x,), tight and x == lo, last_syms
+                key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo, last_syms
             )
             deficit -= loss
             star_and[x] = old_and
@@ -261,7 +341,7 @@ def _feasible(
         return _EXHAUSTED
 
     def descend(depth: int) -> str:
-        nonlocal best, best_cols
+        nonlocal best, best_cols, held
         if depth > best:
             best = depth
             best_cols = list(cols)
@@ -270,14 +350,23 @@ def _feasible(
         if not budget.spend():
             return _ABORT
         if cols:
-            lo_si, hi_si = cols[-1][0], len(sets)
+            lo, _, last_syms, classes = cols[-1]
         else:
-            lo_si, hi_si = 0, 1  # row symmetry: the first column stars rows 0..Z-1
-        for si in range(lo_si, hi_si):
-            mask, nonstars = sets[si]
-            tight = bool(cols) and si == lo_si
-            last_syms = cols[-1][1] if tight else ()
-            code = place_cells(si, mask, nonstars, 0, (), tight, last_syms)
+            lo, last_syms, classes = 0, (), root
+        sets = allowed.get(classes)
+        if sets is None:
+            sets = _allowed_star_sets(f, z, classes)
+            if held + len(sets) > _MEMO_CAP:
+                allowed.clear()
+                held = 0
+            allowed[classes] = sets
+            held += len(sets)
+        # Row break: the stars sit on the lowest rows of each twin class.
+        for key, mask, nonstars in sets:
+            if key < lo:
+                continue
+            tight = key == lo
+            code = place_cells(key, mask, nonstars, 0, (), tight, last_syms)
             if code != _EXHAUSTED:
                 return code
         return _EXHAUSTED
@@ -291,7 +380,7 @@ def _feasible(
         deepest=best,
     )
     chosen = cols if code == _FOUND else best_cols
-    columns = [zip(sets[si][1], syms) for si, syms in chosen]
+    columns = [zip(nonstars, syms) for _, nonstars, syms, _ in chosen]
     return level, _columns_to_grid(f, s, columns)
 
 
@@ -439,12 +528,6 @@ def _row_break_need(packed: int, f: int, w: int) -> int:
         else:
             need += top - count
     return need
-
-
-# Entries in each of a board level's two memos.  A full memo is cleared:
-# that bounds both (about 2.5 MiB together at F = 40) and keeps the entries
-# of the subtree being searched, which a memo that stops growing would not.
-_MEMO_CAP = 1 << 13
 
 
 def _board_feasible(

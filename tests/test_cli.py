@@ -310,9 +310,11 @@ class TestSearch:
         assert "node budget" in proc.stderr
 
     def test_node_count_stays_within_the_cap(self):
-        for z in ("3", "2"):
+        # Both cells need more than 1,000 nodes: (5, 3, 7) on the board,
+        # (5, 2, 8) in the column search.
+        for z, s in (("3", "7"), ("2", "8")):
             proc = run_cli(
-                "search", "maxk", "--f", "5", "--z", z, "--s", "7", "--nodes", "1000"
+                "search", "maxk", "--f", "5", "--z", z, "--s", s, "--nodes", "1000"
             )
             assert proc.returncode == 0
             obj = last_json(proc.stdout)

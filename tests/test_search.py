@@ -71,6 +71,29 @@ def naive_max_k(f: int, z: int, s: int) -> int:
     return best
 
 
+def canonical_keys(columns: list[tuple[Cell, ...]]):
+    """The search's canonical form of a grid given as its columns, one key
+    at a time: greedily take the remaining column with the least key
+    (star-row tuple, symbols in row order), where symbols are labeled by
+    first use and a column's unlabeled symbols take the next labels in row
+    order."""
+    labels: dict[int, int] = {}
+    remaining = list(columns)
+
+    def key(col: tuple[Cell, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        fresh = iter(range(len(labels), len(labels) + len(col)))
+        syms = tuple(labels[x] if x in labels else next(fresh) for x in col if x is not None)
+        return tuple(r for r, x in enumerate(col) if x is None), syms
+
+    while remaining:
+        col = min(remaining, key=key)
+        remaining.remove(col)
+        yield key(col)
+        for x in col:
+            if x is not None and x not in labels:
+                labels[x] = len(labels)
+
+
 def quick(**overrides) -> SearchConfig:
     defaults = dict(time_budget=60.0, node_budget=2_000_000)
     defaults.update(overrides)
@@ -158,10 +181,12 @@ class TestMaxK:
         assert out.optimum <= 8
 
     def test_cross_check_against_reference_oracle(self):
-        # The last four cells have levels that the first-column restriction
-        # prunes (they visit fewer nodes than an unrestricted scan).
+        # The last four cells of the first line and all cells of the second
+        # have levels that the row break prunes; on the third line it cuts
+        # prefixes of three or more columns.
         cells = [(2, 0, 4), (3, 1, 3), (3, 2, 2), (3, 1, 4)]
         cells += [(4, 1, 3), (4, 1, 5), (5, 2, 3), (5, 3, 2)]
+        cells += [(4, 3, 2), (4, 3, 3), (5, 4, 2), (5, 4, 3)]
         for f, z, s in cells:
             assert pk.max_k(f, z, s, quick()).optimum == naive_max_k(f, z, s)
 
@@ -276,8 +301,10 @@ class TestLevels:
         # tree (ordering, symmetry breaking, pruning) shows up here even
         # when every optimum stays the same.
         cases = [
-            (pk.max_k(5, 2, 8, quick()), [(8, 266), (7, 9993), (6, 3012)]),
-            (pk.max_k(5, 2, 6, quick()), [(6, 26), (5, 398), (4, 5)]),
+            (pk.max_k(5, 2, 8, quick()), [(8, 69), (7, 2474), (6, 1986)]),
+            (pk.max_k(5, 2, 6, quick()), [(6, 8), (5, 118), (4, 5)]),
+            (pk.max_k(6, 3, 7, quick()), [(9, 111), (8, 16214), (7, 2950)]),
+            (pk.max_k(6, 2, 11, quick()), [(8, 144), (7, 12120), (6, 4180)]),
             # Z = F-2: the board path, one node per placed hole subset.
             (pk.max_k(4, 2, 5, quick()), [(7, 157), (6, 262)]),
             (pk.min_s(10, 5, 3, quick()), [(5, 58)]),
@@ -287,8 +314,8 @@ class TestLevels:
             assert [(lv.target, lv.nodes) for lv in out.levels] == expected
         # The column search on the same Z = F-2 levels, called directly.
         for (f, z, s), expected in [
-            ((4, 2, 5), [(7, 538), (6, 304)]),
-            ((5, 3, 5), [(10, 39)]),
+            ((4, 2, 5), [(7, 311), (6, 176)]),
+            ((5, 3, 5), [(10, 21)]),
         ]:
             budget = search._Budget(quick())
             got = [search._feasible(f, z, s, t, budget)[0] for t, _ in expected]
@@ -317,6 +344,69 @@ class TestLevels:
     def test_no_level_without_a_scan(self):
         assert pk.max_k(4, 2, 0, quick()).levels == ()
         assert pk.min_s(0, 5, 2, quick()).levels == ()
+
+
+class TestColumnPath:
+    def test_reproduces_the_column_pins(self):
+        # Recorded before every column's stars were put on the lowest rows
+        # of each twin-row class: the break keeps the lex-least witness of
+        # each row orbit, so optima, exhausted flags and first witnesses
+        # stay, and node counts may only fall.
+        table = json.loads((GOLDEN / "search_witnesses.json").read_text())["column"]
+        runs = [(pk.max_k, row) for row in table["max_k"]]
+        runs += [(pk.min_s, row) for row in table["min_s"]]
+        assert len(runs) == 84
+        for run, (args, optimum, exhausted, nodes, digest) in runs:
+            out = run(*args, quick())
+            cells = json.dumps(out.witness.cells).encode()
+            got = (out.optimum, out.exhausted, hashlib.sha256(cells).hexdigest())
+            assert got == (optimum, exhausted, digest), (run.__name__, args)
+            assert out.nodes_visited <= nodes, (run.__name__, args, out.nodes_visited)
+
+    def test_witnesses_are_row_lex_leaders(self):
+        # The first witness is lex-least among the canonical forms of all
+        # its row relabelings, which is why the row break keeps it.
+        table = json.loads((GOLDEN / "search_witnesses.json").read_text())["column"]
+        cells = [args for args, *_ in table["max_k"] if args[0] <= 5]
+        assert len(cells) == 80
+        for f, z, s in cells:
+            columns = pk.max_k(f, z, s, quick()).witness.columns()
+            # The witness is already in canonical form.
+            own = list(canonical_keys(columns))
+            stars = [tuple(r for r, x in enumerate(col) if x is None) for col in columns]
+            syms = [tuple(x for x in col if x is not None) for col in columns]
+            assert own == list(zip(stars, syms))
+            for perm in itertools.permutations(range(f)):
+                image = [tuple(col[r] for r in perm) for col in columns]
+                for got, want in zip(canonical_keys(image), own):
+                    assert got >= want, (f, z, s, perm)
+                    if got > want:
+                        break
+
+    def test_budget_binds_before_the_first_star_set(self, monkeypatch):
+        # Star sets are built per twin-class partition as the search reaches
+        # it, never as a C(F, Z) table before the first node.
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            out = pk.max_k(24, 12, 3, SearchConfig(node_budget=2))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 4 << 20, peak
+        assert not out.exhausted
+        assert out.nodes_visited == 2
+        # The star-set memo is cleared when full; one cleared at every new
+        # partition gives the same tree.
+        want = pk.max_k(5, 2, 8, quick())
+        monkeypatch.setattr(search, "_MEMO_CAP", 1)
+        got = pk.max_k(5, 2, 8, quick())
+        assert [(lv.target, lv.nodes) for lv in got.levels] == [
+            (lv.target, lv.nodes) for lv in want.levels
+        ]
+        assert got.witness == want.witness
 
 
 class TestBoardPath:
