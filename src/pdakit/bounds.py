@@ -13,7 +13,7 @@ d = gcd(F, S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import PdaGrid, PdaUsageError, verify
 
@@ -77,7 +77,8 @@ def lower_bound_s(k: int, f: int, z: int) -> BoundEstimate:
 
 
 def lower_bound_s_fz2(k: int, f: int) -> BoundEstimate:
-    """Two-term specialization for Z = F-2:
+    """`lower_bound_s` at Z = F-2, labelled lower_S_yb2.  Its f_sequence
+    then has exactly two terms:
 
         S >= ceil(2K/F) + ceil(ceil(2K/F) / (F-1)).
 
@@ -88,11 +89,7 @@ def lower_bound_s_fz2(k: int, f: int) -> BoundEstimate:
         raise PdaUsageError("F must be at least 3 for the Z = F-2 form")
     if k < 1:
         raise PdaUsageError("K must be at least 1")
-    first = ceil_div(2 * k, f)
-    second = ceil_div(first, f - 1)
-    return BoundEstimate(
-        kind="lower_S_yb2", value=first + second, certified=True, trace=(first, second)
-    )
+    return replace(lower_bound_s(k, f, f - 2), kind="lower_S_yb2")
 
 
 def recursive_lower_bound_s(k: int, f: int, z: int) -> BoundEstimate:

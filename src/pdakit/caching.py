@@ -23,13 +23,15 @@ placement still fails term by term.  The content of each (file, subfile) a
 session's broadcasts combine is fetched once and shared by its `deliver`
 and `decode`.
 
-`simulate_many` runs the same programs for many demand vectors at once,
-one bit lane of a Python int per vector: the lane-packed content of cell
-(u, j) is sum_f content(f, j) * M[u][f], where M[u][f] has a one at the
-base of every lane whose vector asks user u for file f.  Every XOR then
-serves every vector, and a nonzero lane of a difference names that
-vector's mismatch.  Vectors go through in chunks whose packed contents fit
-a fixed bit budget, so memory does not grow with the vector count.
+Decode verdicts do not depend on the demands.  `deliver` builds each
+payload as the XOR of the very contents that decoding cancels, so under
+the plan's own placement and broadcasts every symbol's difference is 0:
+only a program's stop can fail, always with `cache_miss`, and the stops
+depend only on the grid's stars and symbols.  `simulate_many` therefore
+checks every demand vector, runs one byte-level session on the first, and
+gives its failures to every vector.  A `mismatch` or `missing_broadcast`
+can only come from a placement or broadcasts a caller hands to `decode`,
+which keeps the byte-level check.
 
 Subfile contents are deterministic pseudo-random bytes derived from
 (seed, file, subfile), so decoding is an end-to-end byte equality check on
@@ -60,8 +62,6 @@ Program = tuple[tuple[Step, ...], tuple[int, int] | None]
 _CONTENT_CACHE_ENTRIES = 256
 # Compiled plans of the most recently simulated grids.
 _PLAN_CACHE_ENTRIES = 4
-# Bits of lane-packed content simulate_many holds at once.
-_LANE_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class CachingInstance:
         cls,
         grid: PdaGrid,
         n_files: int,
-        demands: tuple[int, ...],
+        demands: Sequence[int],
         seed: int = 0,
         subfile_size: int = 16,
     ) -> "CachingInstance":
@@ -248,64 +248,49 @@ def _payloads(plan: _Plan, contents: list[int]) -> dict[int, int]:
     return payloads
 
 
-def _run_lanes(
+def _run(
     plan: _Plan,
     programs: Sequence[Program],
     contents: list[int],
     payloads: dict[int, int],
-    lanes: int,
-    width: int,
-) -> list[tuple[DecodeFailure, ...]]:
-    """Run every user's program over cell contents and broadcast payloads,
-    each an int of `lanes` lanes: lane v is bytes [v * width, (v + 1) *
-    width) of the little-endian int, and a single lane is the whole int,
-    whatever its size.  Per lane, the failures, users ascending.
+) -> tuple[DecodeFailure, ...]:
+    """Run every user's program over the cell contents and broadcast
+    payloads; the failures, users ascending.
 
     A cell decodes when its broadcast, with its foreign terms cancelled,
     equals its own content: when the payload XOR the contents of all its
     symbol's cells is 0.  That difference is the same for every cell of a
     symbol, so it is computed once per symbol.  A user fails at its first
-    step whose symbol has no broadcast or differs in the lane, or else at
+    step whose symbol has no broadcast or a nonzero difference, or else at
     its program's stop."""
-    failing: dict[int, set[int] | None] = {}  # None: no broadcast
-    zero = bytes(width)
+    failing: dict[int, str] = {}
     for x, start, stop in plan.symbols:
         value = payloads.get(x)
         if value is None:
-            failing[x] = None
+            failing[x] = "missing_broadcast"
             continue
         for content in contents[start:stop]:
             value ^= content
-        if value and lanes == 1:
-            failing[x] = {0}
-        elif value:
-            raw = value.to_bytes(lanes * width, "little")
-            by_lane = (raw[v * width : (v + 1) * width] for v in range(lanes))
-            failing[x] = {v for v, lane in enumerate(by_lane) if lane != zero}
+        if value:
+            failing[x] = "mismatch"
     if not failing:
-        misses = tuple(
+        return tuple(
             DecodeFailure(k, stop[0], "cache_miss")
             for k, (_, stop) in enumerate(programs)
             if stop is not None
         )
-        return [misses] * lanes
-    out = []
-    for v in range(lanes):
-        failures = []
-        for k, (steps, stop) in enumerate(programs):
-            for j, x, _ in steps:
-                bad = failing.get(x, ())
-                if bad is None or v in bad:
-                    reason = "missing_broadcast" if bad is None else "mismatch"
-                    failures.append(DecodeFailure(k, j, reason))
-                    break
-            else:
-                if stop is not None:
-                    j, x = stop
-                    reason = "cache_miss" if x in payloads else "missing_broadcast"
-                    failures.append(DecodeFailure(k, j, reason))
-        out.append(tuple(failures))
-    return out
+    failures = []
+    for k, (steps, stop) in enumerate(programs):
+        for j, x, _ in steps:
+            if x in failing:
+                failures.append(DecodeFailure(k, j, failing[x]))
+                break
+        else:
+            if stop is not None:
+                j, x = stop
+                reason = "cache_miss" if x in payloads else "missing_broadcast"
+                failures.append(DecodeFailure(k, j, reason))
+    return tuple(failures)
 
 
 def _check_dims(grid: PdaGrid, instance: CachingInstance) -> None:
@@ -382,9 +367,7 @@ def _decode(
             programs.append(((), None))
             out[k] = DecodeFailure(k, miss, "cache_miss")
     payloads = {x: b.payload for x, b in broadcasts.items()}
-    size = instance.subfile_size
-    (failures,) = _run_lanes(plan, programs, contents, payloads, 1, size)
-    for failure in failures:
+    for failure in _run(plan, programs, contents, payloads):
         out[failure.user] = failure
     return out
 
@@ -401,9 +384,7 @@ def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
     broadcasts = deliver(grid, instance, placement)
     plan, _, contents = _session(grid, instance)
     payloads = {x: b.payload for x, b in broadcasts.items()}
-    (failures,) = _run_lanes(
-        plan, plan.programs, contents, payloads, 1, instance.subfile_size
-    )
+    failures = _run(plan, plan.programs, contents, payloads)
     failed = {f.user for f in failures}
     return CachingTranscript(
         placement=placement,
@@ -424,51 +405,14 @@ def simulate_many(
     """For each demand vector, in order, the `failures` that `simulate`
     gives for it with the same seed and subfile size.
 
-    Vectors are consumed lazily, in chunks of lanes whose packed contents
-    and payloads fit _LANE_BITS; each chunk is one run of the programs.
+    Every vector is checked as a `CachingInstance`, consumed lazily.  The
+    failures do not depend on the demands: each payload is the XOR of the
+    contents its decoding cancels, so only a program's stop can fail.  One
+    byte-level session on the first vector gives the answer for all.
     """
-    _check_sizes(n_files, subfile_size)
-    plan = _plan(grid)
-    held = len(plan.cells) + len(plan.symbols)
-    per_chunk = max(1, _LANE_BITS // (8 * subfile_size * max(held, 1)))
-    vectors = iter(demand_vectors)
+    _check_sizes(n_files, subfile_size)  # also when there are no vectors
     out: list[tuple[DecodeFailure, ...]] = []
-    while chunk := list(itertools.islice(vectors, per_chunk)):
-        packed = _pack(plan, grid.k, n_files, chunk, seed, subfile_size)
-        payloads = _payloads(plan, packed)
-        lanes = len(chunk)
-        out += _run_lanes(plan, plan.programs, packed, payloads, lanes, subfile_size)
+    for demands in demand_vectors:
+        instance = CachingInstance.for_grid(grid, n_files, demands, seed, subfile_size)
+        out.append(out[0] if out else simulate(grid, instance).failures)
     return out
-
-
-def _pack(
-    plan: _Plan,
-    k: int,
-    n_files: int,
-    chunk: list[Sequence[int]],
-    seed: int,
-    size: int,
-) -> list[int]:
-    """Each plan cell's content with vector v of chunk in lane v: the
-    lanes' contents concatenated little-endian, which is
-    sum_f content(f, j) * M[u][f] computed without a multiplication."""
-    if any(len(demands) != k for demands in chunk):
-        raise PdaUsageError("demands must list one file per user")
-    by_user = list(zip(*chunk))  # by_user[u][v]: the file vector v asks u for
-    for column in by_user:
-        for dem in (min(column), max(column)):
-            if not 0 <= dem < n_files:
-                raise PdaUsageError(f"demand {dem} outside [0, {n_files})")
-    files = set().union(*by_user)
-    rows: dict[int, dict[int, bytes]] = {}
-    packed = []
-    for u, j in plan.cells:
-        lanes = rows.get(j)
-        if lanes is None:
-            lanes = rows[j] = {
-                f: subfile_content(seed, f, j, size).to_bytes(size, "little")
-                for f in files
-            }
-        lane_bytes = b"".join(map(lanes.__getitem__, by_user[u]))
-        packed.append(int.from_bytes(lane_bytes, "little"))
-    return packed

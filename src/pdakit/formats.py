@@ -60,8 +60,8 @@ def parse(text: str) -> PdaGrid:
     m = _SHAPE_RE.match(lines[1])
     if not m:
         raise PdaFormatError(f"bad shape line: {lines[1]!r}")
-    k, f, s = int(m.group(1)), int(m.group(2)), int(m.group(4))
-    z: int | None = None if m.group(3) == "-" else int(m.group(3))
+    k, f, s = _int(m.group(1)), _int(m.group(2)), _int(m.group(4))
+    z: int | None = None if m.group(3) == "-" else _int(m.group(3))
 
     body = lines[2:]
     if k == 0:
@@ -81,7 +81,7 @@ def parse(text: str) -> PdaGrid:
             if t == "*":
                 cells.append(None)
             elif t.isascii() and t.isdigit():
-                v = int(t)
+                v = _int(t)
                 if not 0 <= v < s:
                     raise PdaFormatError(f"row {i}: symbol {v} outside [0, {s})")
                 cells.append(v)
@@ -91,6 +91,14 @@ def parse(text: str) -> PdaGrid:
     if z is not None:
         _check_declared_z(grid, z)
     return grid
+
+
+def _int(digits: str) -> int:
+    """A decimal field; more digits than `int` converts is a format error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PdaFormatError(f"number of {len(digits)} digits is too long") from None
 
 
 def _check_declared_z(grid: PdaGrid, z: int) -> None:
@@ -122,7 +130,8 @@ def parse_json(source: str | dict[str, Any]) -> PdaGrid:
     if isinstance(source, str):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, a number too long for int, or nesting too deep
             raise PdaFormatError(f"bad JSON: {exc}") from None
     else:
         obj = source

@@ -5,8 +5,11 @@ the way the scheme is defined.  The library compiles each grid once and
 works from the compiled plan; both must give equal placements, broadcasts
 (terms and payloads) and decode verdicts, on valid grids, on an invalid
 grid, and on tampered or incomplete inputs to `decode`.  `simulate_many`,
-which runs many demand vectors as bit lanes, must give every vector the
-failures that a per-session `simulate` gives it.
+which runs one session for many demand vectors, must give every vector the
+failures that a per-session `simulate` gives it.  That rests on the
+invariant a property test below pins: under the plan's own placement and
+broadcasts, a user fails only where its decode program stops, whatever the
+demands, and every user decodes exactly when the grid verifies.
 """
 
 import itertools
@@ -108,8 +111,8 @@ def test_corpus_with_seeded_random_demands(corpus):
             _, _, decoded = assert_same_session(g, inst)
             assert all(decoded), (name, demands)
             assert pk.simulate(g, inst).decoded == decoded, (name, demands)
-        # A seeded demand set in lanes, against per-session simulate, which
-        # the sessions above check against the reference.
+        # A seeded demand set through simulate_many, against per-session
+        # simulate, which the sessions above check against the reference.
         n_files = lanes_rng.randint(1, 4)
         vectors = [
             tuple(lanes_rng.randrange(n_files) for _ in range(g.k)) for _ in range(4)
@@ -168,7 +171,7 @@ def test_placement_missing_one_foreign_term():
 
 
 # ---------------------------------------------------------------------------
-# simulate_many: each demand vector in its own bit lane.
+# simulate_many: one session's failures for every demand vector.
 
 
 def ref_verdicts(grid, instance):
@@ -214,35 +217,10 @@ def test_simulate_many_after_checked_cells():
     assert set(many) == {(pk.DecodeFailure(user=0, row=1, reason="cache_miss"),)}
 
 
-def test_lanes_name_each_vectors_mismatch():
-    # A payload tampered in one lane fails exactly that vector, as a
-    # per-session decode of the same tampered payload does.
-    g = pk.mn_pda(4, 2)
-    vectors = [(0, 1, 2, 0, 1, 2), (2, 2, 2, 2, 2, 2), (1, 0, 1, 0, 1, 0)]
-    size, seed = 5, 11
-    plan = caching._plan(g)
-    packed = caching._pack(plan, g.k, 3, vectors, seed, size)
-    payloads = caching._payloads(plan, packed)
-    payloads[2] ^= 1 << (8 * size)  # lowest bit of lane 1
-    lanes = caching._run_lanes(plan, plan.programs, packed, payloads, 3, size)
-    assert lanes[0] == lanes[2] == ()
-    inst = CachingInstance.for_grid(g, n_files=3, demands=vectors[1], seed=seed, subfile_size=size)
-    placement = pk.place(g, inst)
-    broadcasts = dict(pk.deliver(g, inst, placement))
-    b = broadcasts[2]
-    broadcasts[2] = Broadcast(symbol=2, terms=b.terms, payload=b.payload ^ 1)
-    want = tuple(f for f in caching._decode(g, inst, placement, broadcasts) if f)
-    assert lanes[1] == want
-    assert {f.reason for f in want} == {"mismatch"}
-    assert ref_decode(g, inst, placement, broadcasts) == tuple(
-        k not in {f.user for f in want} for k in range(g.k)
-    )
-
-
-def test_simulate_many_property_on_small_grids():
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+def small_cases():
+    """A Hypothesis strategy: a random grid up to 3x3, valid or not, a
+    library size, and one to six demand vectors."""
+    st = pytest.importorskip("hypothesis.strategies")
 
     @st.composite
     def cases(draw):
@@ -254,10 +232,48 @@ def test_simulate_many_property_on_small_grids():
                                 min_size=1, max_size=6))
         return PdaGrid(f=f, k=k, s=s, cells=tuple(cells)), n_files, vectors
 
+    return cases()
+
+
+def test_simulate_many_property_on_small_grids():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(cases(), st.integers(0, 3), st.integers(1, 3))
+    @given(small_cases(), st.integers(0, 3), st.integers(1, 3))
     def check(case, seed, size):
         grid, n_files, vectors = case
         assert_many_matches(grid, n_files, vectors, seed, size)
+
+    check()
+
+
+def test_failures_are_the_plans_stops_whatever_the_demands():
+    # The invariant simulate_many rests on: each payload is the XOR of the
+    # contents its decoding cancels, so no symbol's difference is ever
+    # nonzero, and a user fails only where its program stops for want of a
+    # cached term.  The stops depend on the stars alone.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(small_cases(), st.integers(0, 1 << 16), st.integers(1, 40))
+    def check(case, seed, size):
+        grid, n_files, vectors = case
+        stops = tuple(
+            pk.DecodeFailure(k, stop[0], "cache_miss")
+            for k, (_, stop) in enumerate(caching._plan(grid).programs)
+            if stop is not None
+        )
+        valid = pk.verify(grid).valid
+        for demands in vectors:
+            inst = CachingInstance.for_grid(
+                grid, n_files=n_files, demands=demands, seed=seed, subfile_size=size
+            )
+            out = pk.simulate(grid, inst)
+            assert out.failures == stops, demands
+            assert all(out.decoded) == valid, demands
 
     check()

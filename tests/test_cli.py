@@ -135,9 +135,17 @@ class TestVerify:
             assert (obj["valid"], obj["f"]) == (True, 10**10)
 
     def test_format_error_exits_two(self):
-        proc = run_cli("verify", "-", stdin="not a grid\n")
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
+        for text in (
+            "not a grid\n",
+            # A number longer than int() reads, and JSON nested too deep.
+            "#PDA v1\nK=1 F=1 Z=- S=1\n" + "7" * 5000 + "\n",
+            '{"k": ' + "7" * 5000 + "}",
+            '{"k": ' + "[" * 100_000,
+        ):
+            proc = run_cli("verify", "-", stdin=text)
+            assert proc.returncode == 2, text[:20]
+            assert "error:" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_unknown_flag_exits_two(self):
         proc = run_cli("verify", "--frobnicate", "-")

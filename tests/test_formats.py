@@ -180,3 +180,31 @@ class TestParseAny:
     def test_sniffs_with_leading_whitespace(self):
         g = pk.mn_pda(3, 1)
         assert pk.parse_any("\n  " + pk.render_json(g)) == g
+
+    def test_arbitrary_text_raises_only_format_or_usage_errors(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        prefixes = (
+            "", "#PDA v1\n", "#PDA v1\nK=2 F=2 Z=1 S=2\n", "{",
+            '{"k": 2, "f": 2, "s": 2, "rows": ',
+        )
+        texts = st.builds(str.__add__, st.sampled_from(prefixes), st.text())
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(texts)
+        # A number longer than int() reads, and JSON nested past the
+        # recursion limit.
+        @example("#PDA v1\nK=1 F=1 Z=- S=1\n" + "7" * 5000)
+        @example("#PDA v1\nK=" + "7" * 5000 + " F=1 Z=- S=1\n")
+        @example('{"k": ' + "7" * 5000 + "}")
+        @example('{"k": ' + "[" * 100_000)
+        def check(text):
+            for parser in (pk.parse, pk.parse_json, pk.parse_any):
+                try:
+                    parser(text)
+                except (PdaFormatError, pk.PdaUsageError):
+                    pass
+
+        check()
