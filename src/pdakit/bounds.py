@@ -146,13 +146,15 @@ def pjd_holds(k: int, f: int, s: int) -> bool:
 
         S >= ceil((2K + 2S - SF)/F) * F
 
-    is necessary for a (K, F, F-2, S)-PDA.  False refutes existence.
+    is necessary for a (K, F, F-2, S)-PDA.  False refutes existence.  Since
+    ceil(a) <= n exactly when a <= n for an integer n, the test is
+    K <= pjd_max_k(F, S).
     """
     if f < 3:
         raise PdaUsageError("F must be at least 3 for the Z = F-2 form")
     if k < 1 or s < 1:
         raise PdaUsageError("K and S must be at least 1")
-    return s >= ceil_div(2 * k + 2 * s - s * f, f) * f
+    return k <= pjd_max_k(f, s).value
 
 
 def pjd_max_k(f: int, s: int) -> BoundEstimate:
@@ -252,9 +254,8 @@ def structural_checks(grid: PdaGrid) -> StructuralReport:
     d = math.gcd(f, s)
     details.update(m=m, r=r, d=d)
 
-    mult = report.multiplicity
-    full = [x for x in range(s) if mult[x] == f - 1]
-    maxd_ok = max(mult.values(), default=0) <= f - 1 and len(full) >= s - (f - d)
+    full = [x for x, cells in grid._symbol_cells.items() if len(cells) == f - 1]
+    maxd_ok = p.d <= f - 1 and len(full) >= s - (f - d)
     details["full_multiplicity_symbols"] = len(full)
 
     row_counts = [sum(1 for c in grid.row(i) if c is not None) for i in range(f)]

@@ -68,23 +68,17 @@ _PLAN_CACHE_ENTRIES = 4
 class CachingInstance:
     """One run of the scheme: library size, per-user demands, content seed.
 
-    k_users and f_subfiles must match the grid this instance is used with;
-    demands[k] is the file user k requests (repeats allowed).
+    demands[k] is the file user k requests (repeats allowed); the grid this
+    instance is used with must have one column per demand.
     """
 
     n_files: int
-    k_users: int
-    f_subfiles: int
     demands: tuple[int, ...]
     seed: int = 0
     subfile_size: int = 16
 
     def __post_init__(self) -> None:
         _check_sizes(self.n_files, self.subfile_size)
-        if self.k_users < 0 or self.f_subfiles < 1:
-            raise PdaUsageError("bad user or subfile count")
-        if len(self.demands) != self.k_users:
-            raise PdaUsageError("demands must list one file per user")
         for dem in self.demands:
             if not 0 <= dem < self.n_files:
                 raise PdaUsageError(f"demand {dem} outside [0, {self.n_files})")
@@ -98,14 +92,10 @@ class CachingInstance:
         seed: int = 0,
         subfile_size: int = 16,
     ) -> "CachingInstance":
-        return cls(
-            n_files=n_files,
-            k_users=grid.k,
-            f_subfiles=grid.f,
-            demands=tuple(demands),
-            seed=seed,
-            subfile_size=subfile_size,
-        )
+        """An instance for grid: one demand per column, checked here."""
+        instance = cls(n_files, tuple(demands), seed, subfile_size)
+        _check_users(grid, instance)
+        return instance
 
 
 def _check_sizes(n_files: int, subfile_size: int) -> None:
@@ -293,18 +283,17 @@ def _run(
     return tuple(failures)
 
 
-def _check_dims(grid: PdaGrid, instance: CachingInstance) -> None:
-    if instance.k_users != grid.k or instance.f_subfiles != grid.f:
+def _check_users(grid: PdaGrid, instance: CachingInstance) -> None:
+    if len(instance.demands) != grid.k:
         raise PdaUsageError(
-            f"instance is {instance.k_users} users x {instance.f_subfiles} subfiles, "
-            f"grid is {grid.k} x {grid.f}"
+            f"{len(instance.demands)} demands for a grid of {grid.k} users"
         )
 
 
 def place(grid: PdaGrid, instance: CachingInstance) -> Placement:
     """Demand-oblivious placement: user k caches subfile j of every file
     exactly when cell (j, k) is a star."""
-    _check_dims(grid, instance)
+    _check_users(grid, instance)
     files = range(instance.n_files)
     return {
         k: frozenset(itertools.product(files, rows))
@@ -317,7 +306,7 @@ def deliver(
 ) -> dict[int, Broadcast]:
     """One broadcast per symbol present in the grid, XOR over the demanded
     subfiles at that symbol's cells, in column order."""
-    _check_dims(grid, instance)
+    _check_users(grid, instance)
     plan, terms, contents = _session(grid, instance)
     payloads = _payloads(plan, contents)
     return {
@@ -353,7 +342,7 @@ def _decode(
     """Per user, the first row it cannot recover, or None.  Star rows are
     checked before symbol cells, each in row order; the programs are built
     from `placement`, whatever made it."""
-    _check_dims(grid, instance)
+    _check_users(grid, instance)
     plan, terms, contents = _session(grid, instance)
     empty: frozenset[tuple[int, int]] = frozenset()
     out: list[DecodeFailure | None] = [None] * grid.k

@@ -10,8 +10,10 @@ in pipes:
 
 Exit codes: 0 success/valid, 1 falsified claim (invalid grid, refuted
 existence, failed decode, no block found), 2 usage or format error.
-The default search budget is 60 seconds, overridable per invocation with
---budget or globally with the PDA_SEARCH_BUDGET environment variable.
+`search` and `catalog` take a time budget, 60 seconds by default,
+overridable per invocation with --budget or globally with the
+PDA_SEARCH_BUDGET environment variable.  Every other subcommand runs in
+time bounded by its input and has no budget.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ def integer(text: str) -> int:
     digits = text.strip()
     if not _INTEGER_RE.fullmatch(digits):
         raise PdaUsageError(f"bad integer {text!r}; use ASCII digits")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # past Python's limit on integer string length
+        raise PdaUsageError(f"integer of {len(digits)} digits is too long") from None
 
 
 _BUDGET_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([smhSMH]?)")
@@ -266,9 +271,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    grid = _read_grid(args.file)
-    cfg = search.SearchConfig(time_budget=_time_budget(args))
-    result = search.decompose(grid, cfg)
+    result = search.decompose(_read_grid(args.file))
     if result is None:
         _emit({"found": False})
         return 1
@@ -299,10 +302,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         choices = [range(args.files)] * grid.k
     else:
-        demands = _csv_ints(args.demands)
-        if len(demands) != grid.k:
-            raise PdaUsageError(f"need {grid.k} demands, got {len(demands)}")
-        choices = [[d] for d in demands]
+        choices = [[d] for d in _csv_ints(args.demands)]
     outcomes = caching.simulate_many(
         grid,
         args.files,
@@ -493,7 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out-block")
     p.add_argument("--out-rest")
-    p.add_argument("--budget", help="time budget, e.g. 60s or 5m")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("simulate", help="run the induced caching scheme")

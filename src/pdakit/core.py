@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 # A cell is either a symbol in [0, S) or a star, encoded as None.
 Cell = int | None
@@ -232,32 +232,26 @@ class VerificationReport:
 
     valid: bool
     violations: tuple[Violation, ...]
-    multiplicity: dict[int, int]
+    multiplicity: Mapping[int, int]
     missing_rows: Mapping[int, frozenset[int]]
 
 
-class _MissingRows(Mapping[int, frozenset[int]]):
-    """Symbol -> rows where it does not appear, for symbols [0, s).  The
-    unused symbols share one all-rows set, built on first read: a K = 0
-    header may declare any F, and verify itself never reads it."""
+V = TypeVar("V")
 
-    def __init__(
-        self, f: int, s: int, occurrences: dict[int, tuple[tuple[int, int], ...]]
-    ) -> None:
-        self._f, self._s = f, s
-        self._used = {
-            x: self._all_rows - {i for i, _ in occs} for x, occs in occurrences.items()
-        }
 
-    @cached_property
-    def _all_rows(self) -> frozenset[int]:
-        return frozenset(range(self._f))
+class _PerSymbol(Mapping[int, V]):
+    """Symbol -> value for every symbol in [0, s): the used symbols' values
+    are given, and an unused symbol's value is unused(), made when read.  A
+    header may declare any S, so the view costs only the used symbols."""
 
-    def __getitem__(self, x: int) -> frozenset[int]:
+    def __init__(self, s: int, used: dict[int, V], unused: Callable[[], V]) -> None:
+        self._s, self._used, self._unused = s, used, unused
+
+    def __getitem__(self, x: int) -> V:
         if x in self._used:
             return self._used[x]
         if isinstance(x, int) and 0 <= x < self._s:
-            return self._all_rows
+            return self._unused()
         raise KeyError(x)
 
     def __iter__(self) -> Iterator[int]:
@@ -314,12 +308,19 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
             if found != expected_z:
                 violations.append(StarCountMismatch(col=j, found=found, expected=expected_z))
 
-    multiplicity = {x: len(occurrences.get(x, ())) for x in range(grid.s)}
+    # One all-rows set, built on first read: a K = 0 header may declare any F.
+    all_rows = cache(lambda: frozenset(range(f)))
     return VerificationReport(
         valid=not violations,
         violations=tuple(violations),
-        multiplicity=multiplicity,
-        missing_rows=_MissingRows(f, grid.s, occurrences),
+        multiplicity=_PerSymbol(
+            grid.s, {x: len(occs) for x, occs in occurrences.items()}, int
+        ),
+        missing_rows=_PerSymbol(
+            grid.s,
+            {x: all_rows() - {i for i, _ in occs} for x, occs in occurrences.items()},
+            all_rows,
+        ),
     )
 
 

@@ -106,6 +106,7 @@ SearchOutcome.levels.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -126,9 +127,8 @@ class SearchConfig:
     time_budget is wall seconds, node_budget counts column placements
     (candidate hole subsets, for Z = F-2); whichever runs out first aborts the
     search, and nodes_visited never exceeds node_budget.  The clock is read
-    on the first node and then every 1024 nodes, so a time abort lands
-    within 1024 nodes of the deadline.  The search is sequential and
-    bit-for-bit deterministic.
+    on every node, so a time abort overruns the deadline by at most the work
+    of one node.  The search is sequential and bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
@@ -187,9 +187,7 @@ class _Budget:
     def spend(self) -> bool:
         """Count one node, or refuse it (and every later one) once the cap
         or the deadline is reached; a refused node is not counted."""
-        if self.count >= self.cap or (
-            self.count & 1023 == 0 and time.monotonic() > self.deadline
-        ):
+        if self.count >= self.cap or time.monotonic() > self.deadline:
             return False
         self.count += 1
         return True
@@ -712,9 +710,7 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
 # Block decomposition for extremal Z = F-2 grids
 
 
-def decompose(
-    grid: PdaGrid, cfg: SearchConfig | None = None
-) -> tuple[PdaGrid, PdaGrid] | None:
+def decompose(grid: PdaGrid) -> tuple[PdaGrid, PdaGrid] | None:
     """Split off a full (F(F-1)/2, F, F-2, F) block, if one exists.
 
     Looks for F symbols of multiplicity F-1 that are closed under
@@ -725,17 +721,18 @@ def decompose(
     is the operative filter; final validation of both parts is the gate.
     Returns (block, remainder) with the block's symbols compacted to [0, F)
     and the remainder renumbered onto [0, S-F), or None when no candidate
-    family survives within the time budget.
+    family passes, which means the grid has no such block: a symbol of
+    multiplicity F-1 has F-1 distinct partners, so a block's symbols are
+    always one whole family.
+
+    The cost is one verify plus at most S/F families of O(F*K) each, all
+    read from the used symbols, so it needs no budget.
 
     Premises (usage errors when violated): the grid is valid, column-regular
     with Z = F-2, S >= F, and S = mF + r satisfies m > F - r - d.
     """
-    if cfg is None:
-        cfg = SearchConfig()
-    deadline = time.monotonic() + cfg.time_budget
     f, s, k = grid.f, grid.s, grid.k
-    report = verify(grid)
-    if not report.valid:
+    if not verify(grid).valid:
         raise PdaUsageError("premise violated: grid is not a valid PDA")
     if f < 2 or grid.params().z != f - 2:
         raise PdaUsageError("premise violated: grid is not column-regular with Z = F-2")
@@ -754,13 +751,12 @@ def decompose(
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
 
-    full = {x for x in range(s) if report.multiplicity[x] == f - 1}
+    occurrences = grid._symbol_cells
+    full = {x for x, cells in occurrences.items() if len(cells) == f - 1}
     seen: set[int] = set()
     for x0 in sorted(full):
         if x0 in seen:
             continue
-        if time.monotonic() > deadline:
-            return None
         comp = {x0}
         frontier = [x0]
         closed = True
@@ -775,13 +771,17 @@ def decompose(
         seen |= comp
         if not closed or len(comp) != f:
             continue
-        block_cols = sorted({j for x in comp for _, j in grid._symbol_cells[x]})
+        block_cols = {j for x in comp for _, j in occurrences[x]}
         if len(block_cols) != f * (f - 1) // 2:
             continue
-        rest_cols = [j for j in range(k) if j not in set(block_cols)]
-        block_map = {x: i for i, x in enumerate(sorted(comp))}
-        rest_map = {x: i for i, x in enumerate(y for y in range(s) if y not in comp)}
-        block = _remap_columns(grid, block_cols, block_map, f)
+        rest_cols = [j for j in range(k) if j not in block_cols]
+        block_syms = sorted(comp)
+        block_map = {x: i for i, x in enumerate(block_syms)}
+        # Each other used symbol moves down past the block symbols below it.
+        rest_map = {
+            y: y - bisect.bisect(block_syms, y) for y in occurrences if y not in comp
+        }
+        block = _remap_columns(grid, sorted(block_cols), block_map, f)
         rest = _remap_columns(grid, rest_cols, rest_map, s - f)
         if verify(block, expected_z=f - 2).valid and verify(rest, expected_z=f - 2).valid:
             return block, rest

@@ -158,7 +158,7 @@ def test_criterion_8_block_decomposition():
     with report(8, "full block splits off within budget"):
         start = time.perf_counter()
         g = pk.optimal_fz2(7, 31)
-        result = pk.decompose(g, SearchConfig(time_budget=60.0))
+        result = pk.decompose(g)
         elapsed = time.perf_counter() - start
         assert result is not None
         block, rest = result

@@ -186,6 +186,14 @@ class TestPjd:
                 assert pk.pjd_holds(cap, f, s)
             assert not pk.pjd_holds(cap + 1, f, s)
 
+    def test_matches_the_row_population_inequality(self):
+        # The test as the paper states it: S >= ceil((2K + 2S - SF)/F) * F.
+        for f in range(3, 16):
+            for s in range(1, 49):
+                for k in range(1, f * s):
+                    want = s >= pk.ceil_div(2 * k + 2 * s - s * f, f) * f
+                    assert pk.pjd_holds(k, f, s) == want, (k, f, s)
+
     def test_hand_max_k(self):
         assert pk.pjd_max_k(4, 7).value == 9
         assert pk.pjd_max_k(4, 6).value == 8

@@ -6,6 +6,7 @@ grids must decode for every demand pattern; an invalid grid must visibly
 fail for at least one.
 """
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -52,28 +53,38 @@ class TestSubfileContent:
 
 class TestInstance:
     def test_for_grid_copies_dimensions(self):
-        inst = CachingInstance.for_grid(pk.mn_pda(3, 1), n_files=4, demands=(0, 1, 3))
-        assert inst.k_users == 3
-        assert inst.f_subfiles == 3
+        inst = CachingInstance.for_grid(pk.mn_pda(3, 1), n_files=4, demands=[0, 1, 3])
+        assert inst == CachingInstance(n_files=4, demands=(0, 1, 3))
+        assert [f.name for f in dataclasses.fields(inst)] == [
+            "n_files", "demands", "seed", "subfile_size"
+        ]
+        with pytest.raises(PdaUsageError):
+            CachingInstance.for_grid(pk.mn_pda(3, 1), n_files=4, demands=(0, 1))
 
     def test_validation_errors(self):
         with pytest.raises(PdaUsageError):
-            CachingInstance(n_files=0, k_users=1, f_subfiles=1, demands=(0,))
+            CachingInstance(n_files=0, demands=(0,))
         with pytest.raises(PdaUsageError):
-            CachingInstance(n_files=2, k_users=2, f_subfiles=1, demands=(0,))
+            CachingInstance(n_files=2, demands=(2,))
         with pytest.raises(PdaUsageError):
-            CachingInstance(n_files=2, k_users=1, f_subfiles=1, demands=(2,))
+            CachingInstance(n_files=2, demands=(-1,))
         with pytest.raises(PdaUsageError):
-            CachingInstance(n_files=2, k_users=1, f_subfiles=0, demands=(0,))
-        with pytest.raises(PdaUsageError):
-            CachingInstance(
-                n_files=2, k_users=1, f_subfiles=2, demands=(0,), subfile_size=0
-            )
+            CachingInstance(n_files=2, demands=(0,), subfile_size=0)
 
     def test_dimension_mismatch_is_rejected(self):
-        inst = CachingInstance(n_files=2, k_users=3, f_subfiles=3, demands=(0, 1, 0))
-        with pytest.raises(PdaUsageError):
-            pk.place(pk.mn_pda(4, 2), inst)
+        g = pk.mn_pda(4, 2)
+        inst = CachingInstance(n_files=2, demands=(0, 1, 0))
+        placement = pk.place(pk.mn_pda(3, 1), inst)
+        broadcasts = pk.deliver(pk.mn_pda(3, 1), inst, placement)
+        for call in (
+            lambda: pk.place(g, inst),
+            lambda: pk.deliver(g, inst, placement),
+            lambda: pk.decode(g, inst, placement, broadcasts),
+            lambda: pk.simulate(g, inst),
+            lambda: pk.simulate_many(g, 2, [(0, 1, 0)]),
+        ):
+            with pytest.raises(PdaUsageError, match="3 demands for a grid of 6 users"):
+                call()
 
 
 class TestPlace:
@@ -237,10 +248,10 @@ class TestSimulateMany:
             with pytest.raises(PdaUsageError):
                 pk.simulate_many(g, n_files, vectors, subfile_size=size)
 
-    def test_memory_is_bounded_by_the_chunk_not_the_vector_count(self):
-        # 3^8 vectors of 4 KiB subfiles: one vector's 8 packed cells and 1
-        # payload take 9 x 4 KiB, so all vectors at once would take about
-        # 240 MB.  Chunks cap the packed content at _LANE_BITS (2 MiB).
+    def test_memory_does_not_grow_with_the_vector_count(self):
+        # 3^8 vectors of 4 KiB subfiles: one vector's 8 cells and 1 payload
+        # take 9 x 4 KiB, so holding every vector's content at once would
+        # take about 240 MB.  One byte-level session serves every vector.
         g = pk.mn_pda(8, 7)
         assert (g.k, g.s_used()) == (8, 1)
         tracemalloc.start()

@@ -99,7 +99,7 @@ def assert_same_session(grid, instance):
 
 def test_corpus_with_seeded_random_demands(corpus):
     rng = random.Random(4242)
-    lanes_rng = random.Random(5150)
+    many_rng = random.Random(5150)
     for name, g in corpus:
         for _ in range(3):
             n_files = rng.randint(1, 4)
@@ -113,11 +113,11 @@ def test_corpus_with_seeded_random_demands(corpus):
             assert pk.simulate(g, inst).decoded == decoded, (name, demands)
         # A seeded demand set through simulate_many, against per-session
         # simulate, which the sessions above check against the reference.
-        n_files = lanes_rng.randint(1, 4)
+        n_files = many_rng.randint(1, 4)
         vectors = [
-            tuple(lanes_rng.randrange(n_files) for _ in range(g.k)) for _ in range(4)
+            tuple(many_rng.randrange(n_files) for _ in range(g.k)) for _ in range(4)
         ]
-        seed, size = lanes_rng.randrange(1 << 16), lanes_rng.choice((1, 4, 33))
+        seed, size = many_rng.randrange(1 << 16), many_rng.choice((1, 4, 33))
         many = assert_many_matches(g, n_files, vectors, seed, size, reference=False)
         assert many == [()] * len(vectors), name
 

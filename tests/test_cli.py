@@ -134,6 +134,18 @@ class TestVerify:
             obj = last_json(proc.stdout)
             assert (obj["valid"], obj["f"]) == (True, 10**10)
 
+    def test_header_only_grid_with_huge_s(self):
+        # Unused symbols cost nothing: the per-symbol statistics are views.
+        start = time.perf_counter()
+        proc = run_cli(
+            "verify", "-", stdin="#PDA v1\nK=0 F=1 Z=0 S=10000000000\n",
+            memory_cap=1 << 30,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 0, proc.stderr
+        obj = last_json(proc.stdout)
+        assert (obj["valid"], obj["s"], obj["s_used"]) == (True, 10**10, 0)
+
     def test_format_error_exits_two(self):
         for text in (
             "not a grid\n",
@@ -377,18 +389,45 @@ class TestDecompose:
         assert proc.returncode == 2
         assert "premise" in proc.stderr
 
-    def test_no_block_within_budget_exits_one(self):
-        built = run_cli("construct", "opt2", "--f", "7", "--s", "31").stdout
-        proc = run_cli("decompose", "-", "--budget", "0.000001s", stdin=built)
-        assert proc.returncode == 1
+    def test_no_block_exits_one(self):
+        # Without one column of each of its four full blocks, opt2(7, 31)
+        # is a valid (86, 7, 5, 31) grid with no full block.
+        g = pk.optimal_fz2(7, 31)
+        g = pk.subgrid(g, range(7), [j for j in range(g.k) if j not in (0, 21, 42, 63)])
+        assert (g.k, pk.verify(g).valid) == (86, True)
+        proc = run_cli("decompose", "-", stdin=pk.render(g))
+        assert proc.returncode == 1, proc.stderr
         assert last_json(proc.stdout) == {"found": False}
 
-    def test_takes_only_a_time_budget(self):
+    def test_huge_declared_s(self):
+        # Only the used symbols are read, with or without a block to split.
+        block = pk.mn_pda(4, 2)
+        block = pk.PdaGrid(f=4, k=6, s=10**10, cells=block.cells)
+        for text, want in [
+            ("#PDA v1\nK=0 F=2 Z=0 S=10000000000\n", {"found": False}),
+            (pk.render(block), {
+                "found": True,
+                "block": {"k": 6, "f": 4, "z": 2, "s": 4},
+                "rest": {"k": 0, "f": 4, "z": 0, "s": 10**10 - 4},
+            }),
+        ]:
+            start = time.perf_counter()
+            proc = run_cli("decompose", "-", stdin=text, memory_cap=1 << 30)
+            assert time.perf_counter() - start < 1.0
+            assert proc.returncode == (0 if want["found"] else 1), proc.stderr
+            assert last_json(proc.stdout) == want
+
+    def test_takes_no_budget(self):
         built = pk.render(pk.mn_pda(4, 2))
-        for flags in (["--nodes", "5"], ["--no-prune"]):
+        for flags in (["--budget", "1s"], ["--nodes", "5"], ["--no-prune"]):
             proc = run_cli("decompose", "-", *flags, stdin=built)
             assert proc.returncode == 2, flags
             assert flags[0] in proc.stderr
+        proc = run_cli(
+            "decompose", "-", stdin=built, env_extra={"PDA_SEARCH_BUDGET": "nan"}
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert last_json(proc.stdout)["found"] is True
 
 
 class TestSimulate:
@@ -534,6 +573,28 @@ class TestStrictIntegers:
             assert code == 2, argv
             assert out == "", argv
             assert token in err and "Traceback" not in err, (argv, err)
+
+    def test_integers_past_the_digit_limit_exit_two(self, capsys, monkeypatch):
+        # int() refuses strings of over 4,300 digits with a ValueError.
+        huge = "7" * 5000
+        for argv, stdin in [
+            (["simulate", "--pda", "-", "--files", "2", "--demands", f"0,{huge},0"],
+             self.MN_3_1),
+            (["simulate", "--pda", "-", "--files", huge, "--all-demands"], self.MN_3_1),
+            (["transform", "permute", "-", "--rows", huge], self.MN_3_1),
+            (["transform", "permute", "-", "--cols", huge], self.MN_3_1),
+            (["transform", "permute", "-", "--syms", huge], self.MN_3_1),
+            (["transform", "subgrid", "-", "--rows", huge], self.MN_3_1),
+            (["transform", "subgrid", "-", "--cols", huge], self.MN_3_1),
+            (["catalog", "--f", f"2..{huge}", "--s-max", "2"], None),
+            (["catalog", "--f", huge, "--s-max", "2"], None),
+            (["bound", "--f", "4", "--z", huge, "--s", "6"], None),
+            (["bound", "--f", huge, "--z", "2", "--s", "6"], None),
+        ]:
+            code, out, err = self.run_main(argv, stdin, capsys, monkeypatch)
+            assert code == 2, argv[:2]
+            assert out == "", argv[:2]
+            assert "Traceback" not in err, err[:200]
 
     def test_signs_and_spaces_still_parse(self, capsys, monkeypatch):
         code, out, _ = self.run_main(

@@ -408,6 +408,16 @@ class TestColumnPath:
         ]
         assert got.witness == want.witness
 
+    def test_time_budget_binds_when_nodes_are_slow(self):
+        # A node here tries every symbol in every row of its column, so one
+        # node can take milliseconds: the clock is read on every node.
+        start = time.perf_counter()
+        out = pk.max_k(10, 3, 40, SearchConfig(time_budget=0.3))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        assert not out.exhausted
+        assert pk.verify(out.witness, expected_z=3).valid
+
 
 class TestBoardPath:
     def test_agrees_with_the_column_search_level_by_level(self):
@@ -508,6 +518,16 @@ class TestDecompose:
         with pytest.raises(PdaUsageError):
             pk.decompose(pk.PdaGrid.from_rows([[0, 0]], s=1))  # invalid
 
-    def test_deadline_yields_none(self):
-        out = pk.decompose(pk.optimal_fz2(7, 31), SearchConfig(time_budget=1e-9))
-        assert out is None
+    def test_no_block_yields_none(self):
+        # Dropping one column of each of opt2(7, 31)'s four full blocks
+        # leaves a valid grid that meets the premises but has no full block.
+        g = pk.optimal_fz2(7, 31)
+        keep = [j for j in range(g.k) if j not in (0, 21, 42, 63)]
+        g = pk.subgrid(g, range(7), keep)
+        assert g.params() == pk.PdaParams(k=86, f=7, s=31, z=5, d=6)
+        assert pk.verify(g).valid
+        assert pk.decompose(g) is None
+
+    def test_takes_only_the_grid(self):
+        with pytest.raises(TypeError):
+            pk.decompose(pk.mn_pda(4, 2), SearchConfig())
