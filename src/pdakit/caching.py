@@ -16,12 +16,21 @@ of symbol cells the user XOR-checks, in row order, each with the other
 cells of its symbol.  It ends at the first cell with a foreign term the
 user does not cache: decoding fails there with `missing_broadcast` if no
 broadcast carries the symbol and `cache_miss` otherwise.  Star rows need no
-check, since `place` caches them for every file.  The plans of the last few
-grids are kept.  `simulate` runs the plan's programs; `decode` builds the
-same kind of program from the placement it is given, so a tampered
-placement still fails term by term.  The content of each (file, subfile) a
-session's broadcasts combine is fetched once and shared by its `deliver`
-and `decode`.
+check, since `place` caches them for every file.  `simulate` runs the
+plan's programs; `decode` builds the same kind of program from the
+placement it is given, so a tampered placement still fails term by term.
+
+What is kept, and for how long:
+- per grid, the plan, for the last four grids;
+- per (grid, n_files), the placement, one frozenset of (file, subfile)
+  terms per user, for the last pair only; `place` returns a fresh dict
+  over it, so a caller that changes that dict cannot change the next;
+- per F, the (file, subfile) term tuples, made per file on first use and
+  shared by placements and sessions, for the last F only;
+- per session, each plan cell's term, its content and each symbol's
+  payload, for the last (grid, instance) only, which that session's
+  `deliver` and `decode` share;
+- per (seed, file, subfile, size), the content, for the last 256.
 
 Decode verdicts do not depend on the demands.  `deliver` builds each
 payload as the XOR of the very contents that decoding cancels, so under
@@ -43,11 +52,10 @@ transmit nothing.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import sha256
 from typing import Callable, Iterable, Sequence
 
 from .core import PdaGrid, PdaUsageError
@@ -137,14 +145,19 @@ class CachingTranscript:
     failures: tuple[DecodeFailure, ...]
 
 
+@lru_cache(maxsize=1)
+def _suffixes(blocks: int) -> tuple[bytes, ...]:
+    """The counter suffixes b":0", b":1", ... of a content's SHA-256 blocks."""
+    return tuple([b":%d" % counter for counter in range(blocks)])
+
+
 @lru_cache(maxsize=_CONTENT_CACHE_ENTRIES)
 def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
-    """Deterministic pseudo-random content, as a size-byte big-endian int."""
+    """Deterministic pseudo-random content, as a size-byte big-endian int:
+    the SHA-256 digests of "pda-sim:seed:file:subfile:counter" for counters
+    0, 1, ..., joined and cut to size bytes."""
     base = f"pda-sim:{seed}:{file}:{subfile}".encode()
-    out = b"".join(
-        hashlib.sha256(base + b":%d" % counter).digest()
-        for counter in range(-(-size // 32))
-    )
+    out = b"".join([sha256(base + suffix).digest() for suffix in _suffixes(-(-size // 32))])
     return int.from_bytes(out[:size], "big")
 
 
@@ -212,19 +225,54 @@ def _program(steps: tuple[Step, ...], cached: Callable[[int], bool]) -> Program:
     return steps, None
 
 
+class _Terms(dict):
+    """file -> the (file, subfile) term of each of F rows, made on a
+    file's first use, so a file no placement or session reads costs
+    nothing.  Placements and sessions of the same F share these tuples."""
+
+    def __init__(self, f: int) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, file: int) -> tuple[tuple[int, int], ...]:
+        terms = self[file] = tuple([(file, j) for j in range(self.f)])
+        return terms
+
+
+@lru_cache(maxsize=1)
+def _terms(f: int) -> _Terms:
+    """The term table of the last subfile count F."""
+    return _Terms(f)
+
+
+@lru_cache(maxsize=1)
+def _placement(grid: PdaGrid, n_files: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """Each user's cache: subfile j of every file for each star row j.
+    Placement precedes the demands, so it is made once per (grid,
+    n_files) and kept for the last such key only."""
+    table = _terms(grid.f)
+    return tuple(
+        frozenset([table[file][j] for file in range(n_files) for j in rows])
+        for rows in _plan(grid).star_rows
+    )
+
+
 @lru_cache(maxsize=1)
 def _session(
     grid: PdaGrid, instance: CachingInstance
-) -> tuple[_Plan, list[tuple[int, int]], list[int]]:
+) -> tuple[_Plan, list[tuple[int, int]], list[int], dict[int, int]]:
     """The grid's plan, the (file, subfile) term of each plan cell under the
-    instance's demands, and its content, hashed once per distinct term.
-    Kept for the last instance only, which the deliver and decode of one
-    session share."""
+    instance's demands, its content, hashed once per distinct term, and
+    each symbol's payload.  Kept for the last instance only, which the
+    deliver and decode of one session share."""
     plan = _plan(grid)
-    seed, size, demands = instance.seed, instance.subfile_size, instance.demands
-    terms = [(demands[u], j) for u, j in plan.cells]
+    seed, size = instance.seed, instance.subfile_size
+    table = _terms(grid.f)
+    rows = [table[file] for file in instance.demands]
+    terms = [rows[u][j] for u, j in plan.cells]
     contents = {t: subfile_content(seed, t[0], t[1], size) for t in set(terms)}
-    return plan, terms, [contents[t] for t in terms]
+    values = [contents[t] for t in terms]
+    return plan, terms, values, _payloads(plan, values)
 
 
 def _payloads(plan: _Plan, contents: list[int]) -> dict[int, int]:
@@ -292,13 +340,10 @@ def _check_users(grid: PdaGrid, instance: CachingInstance) -> None:
 
 def place(grid: PdaGrid, instance: CachingInstance) -> Placement:
     """Demand-oblivious placement: user k caches subfile j of every file
-    exactly when cell (j, k) is a star."""
+    exactly when cell (j, k) is a star.  The sets are built once per (grid,
+    n_files) and shared; the dict holding them is new on every call."""
     _check_users(grid, instance)
-    files = range(instance.n_files)
-    return {
-        k: frozenset(itertools.product(files, rows))
-        for k, rows in enumerate(_plan(grid).star_rows)
-    }
+    return dict(enumerate(_placement(grid, instance.n_files)))
 
 
 def deliver(
@@ -307,8 +352,7 @@ def deliver(
     """One broadcast per symbol present in the grid, XOR over the demanded
     subfiles at that symbol's cells, in column order."""
     _check_users(grid, instance)
-    plan, terms, contents = _session(grid, instance)
-    payloads = _payloads(plan, contents)
+    plan, terms, _, payloads = _session(grid, instance)
     return {
         x: Broadcast(x, tuple(terms[start:stop]), payloads[x])
         for x, start, stop in plan.symbols
@@ -343,7 +387,7 @@ def _decode(
     checked before symbol cells, each in row order; the programs are built
     from `placement`, whatever made it."""
     _check_users(grid, instance)
-    plan, terms, contents = _session(grid, instance)
+    plan, terms, contents, _ = _session(grid, instance)
     empty: frozenset[tuple[int, int]] = frozenset()
     out: list[DecodeFailure | None] = [None] * grid.k
     programs: list[Program] = []
@@ -371,8 +415,7 @@ def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
     the plan's programs, which assume the placement `place` made."""
     placement = place(grid, instance)
     broadcasts = deliver(grid, instance, placement)
-    plan, _, contents = _session(grid, instance)
-    payloads = {x: b.payload for x, b in broadcasts.items()}
+    plan, _, contents, payloads = _session(grid, instance)
     failures = _run(plan, plan.programs, contents, payloads)
     failed = {f.user for f in failures}
     return CachingTranscript(

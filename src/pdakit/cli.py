@@ -331,7 +331,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if failed is None else 1
 
 
-def _parse_f_range(text: str) -> list[int]:
+def _parse_f_range(text: str) -> range:
+    """The F values of `--f`: one value, or lo..hi inclusive, kept lazy so
+    a huge range streams its rows."""
     if ".." in text:
         lo_txt, hi_txt = text.split("..", 1)
         try:
@@ -340,11 +342,12 @@ def _parse_f_range(text: str) -> list[int]:
             raise PdaUsageError(f"bad range {text!r}; use e.g. 2..6") from None
         if lo > hi:
             raise PdaUsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [integer(text)]
+        value = integer(text)
     except PdaUsageError:
         raise PdaUsageError(f"bad F value {text!r}") from None
+    return range(value, value + 1)
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:

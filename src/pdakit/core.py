@@ -264,12 +264,23 @@ class _PerSymbol(Mapping[int, V]):
 def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     """Check the two PDA properties, and column-regularity if expected_z is given.
 
-    Runs in O(F*K + sum of per-symbol occurrence pairs); for a valid grid
-    each symbol occupies pairwise-distinct rows and columns, so the pair
-    work is at most min(F, K)^2 per symbol.
+    A symbol with no row or column repeat passes the star-corner check
+    when each of its cells' rows stars every other column the symbol
+    uses: one K-bit mask test per cell.  A row's star mask is built once,
+    and only for rows that hold a symbol.  Any other symbol, and one the
+    masks reject, walks its occurrence pairs, which lists its violations
+    in order.  So a valid grid costs O(F*K) steps of at most one K-bit
+    integer operation each, and an invalid grid adds the pairs of the
+    symbols that fail.
     """
     f, k = grid.f, grid.k
     occurrences = grid._symbol_cells
+
+    @cache
+    def star_mask(i: int) -> int:
+        """Bit j set iff cell (i, j) is a star."""
+        row = grid.cells[i * k : i * k + k]
+        return int("".join(["0" if c is not None else "1" for c in reversed(row)]), 2)
 
     # Property 1, row and column uniqueness: each later cell of a symbol in
     # a row (column) repeats the first one there.  Property 2, the
@@ -288,6 +299,14 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
             row_a = first_row.setdefault(j, i)
             if row_a != i:
                 col_repeats.append(ColRepeat(col=j, symbol=sym, row_a=row_a, row_b=i))
+        if len(first_col) == len(first_row) == len(occs):
+            # One cell per row and column: the symbol's corners are all
+            # stars iff each cell's row stars every other column it uses.
+            cols = 0
+            for _, j in occs:
+                cols |= 1 << j
+            if all((star_mask(i) & cols) | (1 << j) == cols for i, j in occs):
+                continue
         for (ra, ca), (rb, cb) in itertools.combinations(occs, 2):
             if ra == rb or ca == cb:
                 continue  # already reported as a repeat

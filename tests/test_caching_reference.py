@@ -171,6 +171,50 @@ def test_placement_missing_one_foreign_term():
 
 
 # ---------------------------------------------------------------------------
+# Placement is made once per (grid, library size) and kept for the last one.
+
+
+def test_interleaved_placements_match_the_reference():
+    grids = [pk.mn_pda(4, 2), pk.optimal_fz2(4, 6)]
+    for grid, n_files in itertools.product(grids * 2, (1, 3, 1)):
+        inst = CachingInstance.for_grid(grid, n_files, [0] * grid.k)
+        assert pk.place(grid, inst) == ref_place(grid, inst), (grid.k, n_files)
+
+
+def test_changing_a_returned_placement_leaves_the_next_one_alone():
+    g = pk.mn_pda(4, 2)
+    inst = CachingInstance.for_grid(g, n_files=2, demands=(0, 1, 1, 0, 1, 0))
+    placement = pk.place(g, inst)
+    placement[0] = frozenset()
+    del placement[1]
+    placement[9] = frozenset({(0, 0)})
+    assert pk.place(g, inst) == ref_place(g, inst)
+    # A tampered placement handed to decode does not reach the next session.
+    broadcasts = pk.deliver(g, inst, placement)
+    assert pk.decode(g, inst, placement, broadcasts) == ref_decode(
+        g, inst, placement, broadcasts
+    )
+    out = pk.simulate(g, inst)
+    assert out.placement == ref_place(g, inst) and all(out.decoded)
+
+
+def test_simulate_matches_the_reference_as_the_placement_key_changes():
+    rng = random.Random(808)
+    grids = [pk.mn_pda(4, 2), pk.optimal_fz2(4, 6), PdaGrid.from_rows([[0, STAR], [1, 0]], s=2)]
+    for _ in range(30):
+        g = rng.choice(grids)
+        n_files = rng.randint(1, 3)
+        inst = CachingInstance.for_grid(
+            g, n_files, [rng.randrange(n_files) for _ in range(g.k)],
+            seed=rng.randrange(1 << 16), subfile_size=rng.choice((1, 4, 33)),
+        )
+        out = pk.simulate(g, inst)
+        assert out.placement == ref_place(g, inst)
+        assert out.broadcasts == ref_deliver(g, inst, out.placement)
+        assert out.decoded == ref_verdicts(g, inst)
+
+
+# ---------------------------------------------------------------------------
 # simulate_many: one session's failures for every demand vector.
 
 

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pdakit as pk
-from pdakit.cli import main
+from pdakit.cli import _parse_f_range, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -526,6 +526,15 @@ class TestCatalog:
     def test_bad_range_exits_two(self):
         proc = run_cli("catalog", "--f", "6..2", "--s-max", "3")
         assert proc.returncode == 2
+
+    def test_f_range_is_not_materialised(self):
+        # A range too large to list: catalog streams its rows one F at a time.
+        start = time.perf_counter()
+        fs = _parse_f_range("2..1000000000000")
+        assert time.perf_counter() - start < 1
+        assert len(fs) == 999_999_999_999
+        assert (fs[0], fs[-1]) == (2, 1_000_000_000_000)
+        assert list(_parse_f_range("4")) == [4]
 
     def test_s_max_below_one_exits_two(self):
         for s_max in ("0", "-1"):

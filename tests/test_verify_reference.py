@@ -125,3 +125,23 @@ def test_hostile_single_symbol_grid():
     g = pk.PdaGrid(f=20, k=20, s=1, cells=(0,) * 400)
     rep = assert_same_report(g, 0)
     assert len(rep.violations) > 100_000
+
+
+def test_non_star_corner_in_a_high_multiplicity_grid():
+    # Every symbol of the dual of mn_pda(6, 3) fills many rows and columns
+    # once each.  Filling one of its star corners, with a fresh symbol or
+    # with another symbol of that cell's row (a row repeat too), breaks
+    # symbol 0's corner check; the report and its order must match.
+    g = pk.symbol_dual(pk.mn_pda(6, 3))
+    assert assert_same_report(g).valid
+    (ra, ca), (rb, cb) = g._symbol_cells[0][:2]
+    corner = ra * g.k + cb
+    assert g.cells[corner] is STAR
+    row_symbol = next(c for c in g.cells[ra * g.k : ra * g.k + g.k] if c not in (STAR, 0))
+    for fill, s in ((g.s, g.s + 1), (row_symbol, g.s)):
+        cells = list(g.cells)
+        cells[corner] = fill
+        rep = assert_same_report(pk.PdaGrid(f=g.f, k=g.k, s=s, cells=tuple(cells)))
+        assert any(
+            isinstance(v, pk.CornerViolation) and v.symbol == 0 for v in rep.violations
+        )
