@@ -525,10 +525,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
     except (PdaUsageError, formats.PdaFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe: end quietly, as a filter killed by
+        # SIGPIPE does, with stdout on devnull so the flush at exit is mute.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

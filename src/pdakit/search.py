@@ -89,14 +89,28 @@ blossom matching.  Its arguments:
   must be non-increasing; since they only grow, a prefix is cut when
   raising each row to the largest count below it needs more holes than are
   left.  Both breaks hold at once: sort the rows by hole count, then sort
-  the symbols, which leaves the row counts alone.
+  the symbols, which leaves the row counts alone;
+* deficiency: whether two cells can share a column depends only on their
+  two symbols' holes, so once symbols 0..x are placed, the graph on their
+  n0 cells is an induced subgraph of every completion's graph.  If ν is
+  its maximum matching, a perfect matching of a completion leaves at least
+  n0 - 2ν of those cells to partners among the c cells still to come
+  (Tutte-Berge; Berge 1958), so a prefix with n0 - 2ν > c is dead.  The
+  cells of one symbol are never partners, so at most one of x's
+  F - |holes[x]| cells per earlier placed cell is matched; a hole subset
+  whose other cells already exceed c is not tried.  At a leaf c = 0 and
+  the test is the perfect matching itself.  Only subtrees without a
+  witness are cut, so optima, exhausted flags and first witnesses stay;
+  node counts only fall.
 
 A board-path node is one candidate hole subset, counted whether or not
 the search descends into it.  The row counts live in one int, w bits per
 row, so a candidate's child counts are one addition away; the row break is
 tested on them, through a bounded memo, before the search descends, and a
-dead candidate costs two dictionary lookups.  The witness's rows are
-relabeled so that its first column stars rows 0..Z-1.
+dead candidate costs two dictionary lookups.  A live candidate then adds
+its symbol's cells and edges to the prefix graph and grows the parent's
+maximum matching to the child's (see _board_feasible).  The witness's rows
+are relabeled so that its first column stars rows 0..Z-1.
 
 max_k scans target K downward from the certified cap, min_s scans S upward
 from the certified floor; exhausted outcomes are exact, budget-bounded ones
@@ -151,7 +165,7 @@ class SearchLevel:
     longest valid column prefix the pruned search reached (the potential
     prune cuts prefixes that cannot reach the target, so it can be shorter
     than the longest valid prefix), or for Z = F-2 the largest matching
-    seen."""
+    seen on a prefix of placed symbols or a whole board."""
 
     target: int
     code: str
@@ -392,115 +406,126 @@ def _columns_to_grid(f: int, s: int, columns) -> PdaGrid:
     return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
 
 
+def _blossom_base(
+    a: int, b: int, base: dict[int, int], parent: dict[int, int], mate: list[int]
+) -> int:
+    """The base of the blossom closed by the edge a-b: the first common
+    base on the alternating paths from a and b back to the root."""
+    seen = set()
+    while True:
+        a = base.get(a, a)
+        seen.add(a)
+        if mate[a] == -1:
+            break
+        a = parent[mate[a]]
+    while base.get(b, b) not in seen:
+        b = parent[mate[base.get(b, b)]]
+    return base.get(b, b)
+
+
+def _mark_blossom(
+    v: int,
+    b: int,
+    child: int,
+    blossom: set[int],
+    base: dict[int, int],
+    parent: dict[int, int],
+    mate: list[int],
+) -> None:
+    """Walk from v down to the blossom base b, adding each base passed to
+    blossom and pointing its parents across the closing edge."""
+    while base.get(v, v) != b:
+        blossom.add(base.get(v, v))
+        blossom.add(base.get(mate[v], mate[v]))
+        parent[v] = child
+        child = mate[v]
+        v = parent[child]
+
+
+def _augment(adj: list[list[int]], mate: list[int], root: int) -> bool:
+    """One search of Edmonds' blossom algorithm ("Paths, trees, and
+    flowers", 1965) from the exposed vertex root: grow an alternating tree,
+    shrink each odd cycle into its base, and flip the first augmenting path
+    into mate.  False when root has none.  Whatever the starting matching, a
+    vertex with no augmenting path never gains one while other paths are
+    flipped, so one search from each exposed vertex leaves mate maximum.
+    The tree's state lives in dicts, so a search costs what it visits."""
+    for u in adj[root]:
+        # The search would take the first exposed neighbour before any
+        # longer path: root's neighbours are scanned before anything else.
+        if mate[u] == -1:
+            mate[u], mate[root] = root, u
+            return True
+    parent: dict[int, int] = {}  # -1 when absent
+    base: dict[int, int] = {}  # the vertex itself when absent
+    outer = {root}
+    queue = [root]
+    for v in queue:  # the loop also visits what is appended as it runs
+        for u in adj[v]:
+            if base.get(v, v) == base.get(u, u) or mate[v] == u:
+                continue
+            if u == root or (mate[u] != -1 and mate[u] in parent):
+                b = _blossom_base(v, u, base, parent, mate)
+                blossom: set[int] = set()
+                _mark_blossom(v, b, u, blossom, base, parent, mate)
+                _mark_blossom(u, b, v, blossom, base, parent, mate)
+                # Only tree vertices can have a base in the blossom; they
+                # are taken in vertex order, as a scan of all would.
+                for i in sorted(outer | parent.keys()):
+                    if base.get(i, i) in blossom:
+                        base[i] = b
+                        if i not in outer:
+                            outer.add(i)
+                            queue.append(i)
+            elif u not in parent:
+                parent[u] = v
+                if mate[u] == -1:
+                    while u != -1:  # flip the augmenting path
+                        v = parent[u]
+                        u_next = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = u_next
+                    return True
+                outer.add(mate[u])
+                queue.append(mate[u])
+    return False
+
+
+def _grow(adj: list[list[int]], mate: list[int], old: int) -> int:
+    """Grow mate, a maximum matching of the graph on vertices 0..old-1 with
+    the later vertices exposed, into a maximum matching of the whole graph,
+    and return the gain: one blossom search from each new vertex, then from
+    the old exposed ones (once a path has joined two new vertices, another
+    can open between two old ones).  The old searches stop at the bound: an
+    augmenting path of the old matching ends at a new vertex (the old
+    matching is maximum without them, and a new vertex, exposed in it, can
+    only be an end), so the gain never exceeds the new vertices matched, and
+    a new vertex whose search failed is never matched later."""
+    gain = 0
+    for v in range(old, len(adj)):
+        if mate[v] == -1 and adj[v] and _augment(adj, mate, v):
+            gain += 1
+    covered = len(adj) - old - mate[old:].count(-1)
+    v = 0
+    while gain < covered and v < old:
+        if mate[v] == -1 and _augment(adj, mate, v):
+            gain += 1
+        v += 1
+    return gain
+
+
 def _max_matching(adj: list[list[int]]) -> list[int]:
-    """Maximum matching of an undirected graph given as adjacency lists, by
-    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965): from
-    each exposed vertex grow an alternating tree, shrink each odd cycle
-    into its base, and flip the first augmenting path.  A vertex with no
-    augmenting path never gains one later, so one pass over the vertices
-    suffices.  Returns mate[v], -1 when exposed."""
-    n = len(adj)
-    mate = [-1] * n
-
-    def common_base(a: int, b: int) -> int:
-        seen = set()
-        while True:
-            a = base[a]
-            seen.add(a)
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while base[b] not in seen:
-            b = parent[mate[base[b]]]
-        return base[b]
-
-    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base[v] != b:
-            blossom.add(base[v])
-            blossom.add(base[mate[v]])
-            parent[v] = child
-            child = mate[v]
-            v = parent[child]
-
-    for root in range(n):
-        if mate[root] != -1:
-            continue
-        parent = [-1] * n
-        base = list(range(n))
-        outer = [False] * n
-        outer[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in adj[v]:
-                if base[v] == base[u] or mate[v] == u:
-                    continue
-                if u == root or (mate[u] != -1 and parent[mate[u]] != -1):
-                    b = common_base(v, u)
-                    blossom: set[int] = set()
-                    mark(v, b, u, blossom)
-                    mark(u, b, v, blossom)
-                    for i in range(n):
-                        if base[i] in blossom:
-                            base[i] = b
-                            if not outer[i]:
-                                outer[i] = True
-                                queue.append(i)
-                elif parent[u] == -1:
-                    parent[u] = v
-                    if mate[u] == -1:
-                        while u != -1:  # flip the augmenting path
-                            v = parent[u]
-                            u_next = mate[v]
-                            mate[u], mate[v] = v, u
-                            u = u_next
-                        queue.clear()
-                        break
-                    outer[mate[u]] = True
-                    queue.append(mate[u])
+    """Maximum matching of an undirected graph given as adjacency lists:
+    one blossom search from each vertex still exposed, in vertex order.
+    Returns mate[v], -1 when exposed."""
+    mate = [-1] * len(adj)
+    for root in range(len(adj)):
+        if mate[root] == -1:
+            _augment(adj, mate, root)
     return mate
 
 
 _Pair = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _board_pairs(f: int, s: int, holes: list[int]) -> list[_Pair] | None:
-    """A maximum set of columns on the board whose holes are holes[x] (the
-    rows missing symbol x, as a bitmask): each column is a pair of occupied
-    board cells (row, symbol) whose two anti-corners are holes.  None when
-    some occupied cell has no partner at all."""
-    full = (1 << f) - 1
-    for h1 in holes:
-        # (r1, x1)'s partners lie in symbols x2 with a hole at r1 and a cell
-        # in some hole row of x1.
-        reach = 0
-        for h2 in holes:
-            if h1 & ~h2:
-                reach |= h2
-        if full & ~h1 & ~reach:
-            return None
-    ids = [[-1] * f for _ in range(s)]
-    cells: list[tuple[int, int]] = []
-    for x in range(s):
-        for r in range(f):
-            if not (holes[x] >> r) & 1:
-                ids[x][r] = len(cells)
-                cells.append((r, x))
-    hole_syms = [[x for x in range(s) if (holes[x] >> r) & 1] for r in range(f)]
-    adj: list[list[int]] = []
-    for r1, x1 in cells:
-        partners = []
-        for x2 in hole_syms[r1]:
-            rows = holes[x1] & ~holes[x2]
-            while rows:
-                low = rows & -rows
-                partners.append(ids[x2][low.bit_length() - 1])
-                rows ^= low
-        adj.append(partners)
-    mate = _max_matching(adj)
-    return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
 
 
 def _row_increment(mask: int, w: int) -> int:
@@ -534,8 +559,15 @@ def _board_feasible(
     """One board run for Z = F-2 and target >= 1: enumerate hole sets of
     F*S - 2*target holes up to row and symbol relabeling and look for a
     perfect matching of the occupied cells.  Returns (level, grid): the
-    witness on success, otherwise the largest matching seen (a valid grid
-    of its own size)."""
+    witness on success, otherwise the largest matching seen, of a prefix
+    or of a whole board (a valid grid of its own size).
+
+    Deficiency prune (see the module docstring): a child whose n0 placed
+    cells have a maximum matching of ν pairs is dead when n0 - 2ν exceeds
+    the c cells still to come; at a leaf c = 0, so a live leaf is a perfect
+    matching.  The graph and one maximum matching per depth are kept as the
+    search goes: a child appends x's cells and edges, copies its parent's
+    matching and grows it with _grow instead of matching from scratch."""
     start, start_count = time.monotonic(), budget.count
     full = (1 << f) - 1
     holes = [0] * s
@@ -545,25 +577,36 @@ def _board_feasible(
     incs: dict[int, int] = {}  # mask -> its packed row increment
     needs: dict[int, int] = {}  # packed counts -> the row break's need
     spend = budget.spend
+    # The graph of the placed symbols' cells, numbered symbol-major and
+    # row-minor: adj[v] holds v's partners, ids[x][r] is the vertex of the
+    # cell (r, x).  mates[x] is a maximum matching of symbols 0..x-1.
+    adj: list[list[int]] = []
+    ids = [[-1] * f for _ in range(s)]
+    hole_syms: list[list[int]] = [[] for _ in range(f)]  # placed symbols by hole row
+    mates: list[list[int]] = [[]] * (s + 1)
     best: list[_Pair] = []
 
-    def leaf() -> str:
-        nonlocal best
-        pairs = _board_pairs(f, s, holes)
-        if pairs is None:
-            return _EXHAUSTED
-        if len(pairs) > len(best):
-            best = pairs
-        return _FOUND if len(pairs) == target else _EXHAUSTED
+    def pairs(mate: list[int]) -> list[_Pair]:
+        cells = [(r, y) for y in range(s) for r in range(f) if not (holes[y] >> r) & 1]
+        return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
 
     def place(x: int, size: int, mask: int, left: int, packed: int) -> str:
+        nonlocal best
         rem = s - x
-        if rem == 0:
-            return leaf()
-        # Later symbols take subsets no smaller than this one, at most F each.
-        for sz in range(max(size, left - f * (rem - 1)), min(f, left // rem) + 1):
+        later = f * (rem - 1)  # board cells of the symbols after x
+        n_prev = len(adj)
+        parent_mate = mates[x]
+        parent_nu = (n_prev - parent_mate.count(-1)) // 2
+        row_ids = ids[x]
+        # Later symbols take subsets no smaller than this one, at most F each;
+        # x's F - sz cells are never partners of each other, so at most
+        # n_prev of them find one among the placed cells, and the rest
+        # count against the later - rest cells still to come.
+        lo = max(size, left - later, (f + left - later - n_prev + 1) // 2)
+        for sz in range(lo, min(f, left // rem) + 1):
             m = mask if sz == size else (1 << sz) - 1
             rest = left - sz
+            n0 = n_prev + f - sz
             while m <= full:
                 if not spend():
                     return _ABORT
@@ -584,9 +627,48 @@ def _board_feasible(
                 # non-increasing with the holes left is a dead node.
                 if need <= rest:
                     holes[x] = m
-                    code = place(x + 1, sz, m, rest, child)
-                    if code != _EXHAUSTED:
-                        return code
+                    # Append x's cells, each with its partners among the
+                    # earlier symbols' cells, which gain it in turn.
+                    v = n_prev
+                    for r in [r for r in range(f) if not (m >> r) & 1]:
+                        row_ids[r] = v
+                        nbrs = []
+                        for y in hole_syms[r]:
+                            their = m & ~holes[y]
+                            idy = ids[y]
+                            while their:
+                                bit = their & -their
+                                their ^= bit
+                                u = idy[bit.bit_length() - 1]
+                                nbrs.append(u)
+                                adj[u].append(v)
+                        adj.append(nbrs)
+                        v += 1
+                    mate = parent_mate + [-1] * (n0 - n_prev)
+                    nu = parent_nu + _grow(adj, mate, n_prev)
+                    if nu > len(best):
+                        best = pairs(mate)
+                    if n0 - 2 * nu <= later - rest:
+                        if rem == 1:
+                            # The witness stays the matching found from
+                            # scratch on the board's graph, which is this
+                            # graph in the same order; the kept one may be
+                            # another perfect matching.
+                            best = pairs(_max_matching(adj))
+                            return _FOUND
+                        mates[x + 1] = mate
+                        down = [hole_syms[r] for r in range(f) if (m >> r) & 1]
+                        for syms in down:
+                            syms.append(x)
+                        code = place(x + 1, sz, m, rest, child)
+                        if code != _EXHAUSTED:
+                            return code
+                        for syms in down:
+                            syms.pop()
+                    for v in range(n_prev, n0):
+                        for u in adj[v]:
+                            adj[u].pop()
+                    del adj[n_prev:]
                 low = m & -m  # next mask of the same size (Gosper)
                 m = (((m + low) ^ m) >> 2) // low | (m + low)
         return _EXHAUSTED

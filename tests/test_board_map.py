@@ -4,8 +4,9 @@ A Z = F-2 grid is a perfect matching on an F x S board: a hole is a board
 cell (row, symbol) where the symbol misses the row, and each column pairs
 two occupied cells whose anti-corners are holes.  These tests check that
 map on relabeled constructions and on their column subsets, the blossom
-matcher against brute force, and the search's packed row counts and row
-break against a plain list of counts.
+matcher against brute force, the growth of a kept matching as vertices
+arrive, the search's packed row counts and row break against a plain list
+of counts, and its deficiency prune against a board search without it.
 """
 
 import itertools
@@ -35,6 +36,19 @@ def to_board(grid: pk.PdaGrid) -> tuple[list[int], list]:
             holes[x] &= ~(1 << r)
         pairs.append(pair)
     return holes, pairs
+
+
+def board_pairs(f: int, s: int, holes: list[int]) -> list:
+    """A maximum set of columns on the board whose holes are holes[x]: each
+    column is a pair of occupied cells (row, symbol) whose two anti-corners
+    are holes."""
+    cells = [(r, x) for x in range(s) for r in range(f) if not (holes[x] >> r) & 1]
+    adj = [
+        [j for j, (r2, x2) in enumerate(cells) if (holes[x2] >> r1) & 1 and (holes[x1] >> r2) & 1]
+        for r1, x1 in cells
+    ]
+    mate = search._max_matching(adj)
+    return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
 
 
 def brute_matching(n: int, edges: set[tuple[int, int]]) -> int:
@@ -90,8 +104,7 @@ def test_grid_to_board_and_back(grid):
     assert Counter(back.columns()) == Counter(grid.columns())
     # The grid's own columns are a perfect matching of its occupied cells,
     # so the matcher must find one of the same size.
-    found = search._board_pairs(grid.f, grid.s, holes)
-    assert found is not None
+    found = board_pairs(grid.f, grid.s, holes)
     assert len(found) == grid.k
     rebuilt = search._columns_to_grid(grid.f, grid.s, found)
     assert pk.verify(rebuilt, expected_z=grid.f - 2).valid
@@ -109,12 +122,7 @@ def test_any_maximum_matching_is_a_valid_grid(case):
         for j, (r2, x2) in enumerate(cells)
         if i < j and (r1, x2) in hole_cells and (r2, x1) in hole_cells
     }
-    pairs = search._board_pairs(f, s, holes)
-    if pairs is None:
-        # Refused only when some occupied cell has no partner.
-        touched = {v for e in edges for v in e}
-        assert len(touched) < len(cells)
-        return
+    pairs = board_pairs(f, s, holes)
     assert len(pairs) == brute_matching(len(cells), edges)
     grid = search._columns_to_grid(f, s, pairs)
     assert pk.verify(grid, expected_z=f - 2).valid
@@ -156,6 +164,38 @@ def test_blossom_matching_is_maximum(adj):
 
 
 @st.composite
+def grown_graphs(draw) -> tuple[list[list[int]], int]:
+    """A graph and a split: vertices below old are already matched
+    maximally among themselves, and the rest arrive."""
+    adj = draw(graphs())
+    return adj, draw(st.integers(0, len(adj)))
+
+
+# The first search, from 2, takes the edge 2-3; the gain then stays below
+# the new vertices matched, and only a search from the old vertex 0 finds
+# the augmenting path 0-2=3-1.
+NEEDS_OLD_SEARCH = ([[2], [3], [3, 0], [2, 1]], 2)
+
+
+@SETTINGS
+@given(grown_graphs())
+@example(NEEDS_OLD_SEARCH)
+def test_growing_a_maximum_matching_keeps_it_maximum(case):
+    adj, old = case
+    n = len(adj)
+    edges = {(min(a, b), max(a, b)) for a in range(n) for b in adj[a]}
+    mate = search._max_matching([[u for u in nbrs if u < old] for nbrs in adj[:old]])
+    before = sum(u != -1 for u in mate) // 2
+    mate += [-1] * (n - old)
+    gain = search._grow(adj, mate, old)
+    for v, u in enumerate(mate):
+        if u != -1:
+            assert mate[u] == v
+            assert (min(u, v), max(u, v)) in edges
+    assert before + gain == sum(u != -1 for u in mate) // 2 == brute_matching(n, edges)
+
+
+@st.composite
 def row_counts(draw) -> tuple[int, int, list[int], int]:
     """(F, S, per-row hole counts below S, a hole subset): the state the
     board search holds before it places one more symbol's holes."""
@@ -184,3 +224,46 @@ def test_packed_row_break_matches_the_row_list(case):
             top = max(top, count)
             need += top - count
         assert search._row_break_need(state, f, w) == need
+
+
+def unpruned_level_code(f: int, s: int, target: int) -> str:
+    """The board level without the deficiency prune: hole subsets in
+    (size, mask) order, each symbol's subset nonempty, row counts kept able
+    to end non-increasing, and a perfect matching at the leaf."""
+    order = sorted(range(1, 1 << f), key=lambda m: (bin(m).count("1"), m))
+
+    def row_need(counts: list[int]) -> int:
+        need = top = 0
+        for count in reversed(counts):
+            top = max(top, count)
+            need += top - count
+        return need
+
+    def go(x: int, start: int, left: int, holes: list[int], counts: list[int]) -> bool:
+        if x == s:
+            return 2 * len(board_pairs(f, s, holes)) == f * s - sum(
+                bin(h).count("1") for h in holes
+            )
+        for i in range(start, len(order)):
+            m = order[i]
+            size = bin(m).count("1")
+            if size * (s - x) > left:
+                break  # the later symbols take subsets no smaller than m
+            if left - size > f * (s - x - 1):
+                continue
+            child = [c + ((m >> r) & 1) for r, c in enumerate(counts)]
+            if row_need(child) <= left - size and go(x + 1, i, left - size, holes + [m], child):
+                return True
+        return False
+
+    return "found" if go(0, 0, f * s - 2 * target, [], [0] * f) else "exhausted"
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(1, 6))
+def test_deficiency_prune_keeps_every_level_code(f, s):
+    # The space is 24 boards, and every target of each is compared.
+    for target in range(1, f * s // 2 + 1):
+        budget = search._Budget(pk.SearchConfig())
+        level, _ = search._board_feasible(f, f - 2, s, target, budget)
+        assert level.code == unpruned_level_code(f, s, target), (f, s, target)

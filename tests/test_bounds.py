@@ -5,13 +5,17 @@ sweeps cross-check the bounds against the constructions, which realize
 equality in the extremal cases.
 """
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 import pdakit as pk
 from pdakit import BoundEstimate, PdaGrid, PdaUsageError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCeilDiv:
@@ -335,3 +339,45 @@ class TestStructuralChecks:
         assert rep.details["r"] == 3
         assert rep.details["d"] == 1
         assert rep.details["k_formula"] == 90
+
+
+class TestTightness:
+    # The bounds against the exact optima of tests/golden/search_optima.json.
+    # Each gap is named with its (bound, exact) values, so a bound that
+    # crosses a proven optimum fails, and so does one that gets tighter.
+    S_GAPS = {(10, 4, 2): (7, 8), (6, 5, 2): (7, 8)}  # (K, F, Z)
+    K_GAPS = {  # (F, Z, S); the cap is upper_bound_k, and pjd_max_k at Z = F-2
+        (4, 1, 2): (1, 0), (4, 1, 3): (2, 1), (4, 1, 4): (2, 1), (4, 1, 5): (3, 2),
+        (4, 1, 8): (5, 4), (4, 2, 1): (1, 0), (4, 2, 5): (7, 6), (5, 1, 2): (1, 0),
+        (5, 1, 3): (1, 0), (5, 1, 4): (2, 1), (5, 1, 5): (2, 1), (5, 1, 6): (3, 1),
+        (5, 1, 7): (3, 2), (5, 1, 8): (4, 2), (5, 2, 1): (1, 0), (5, 2, 2): (2, 0),
+        (5, 2, 3): (3, 1), (5, 2, 4): (4, 2), (5, 2, 5): (5, 3), (5, 2, 6): (6, 4),
+        (5, 2, 7): (7, 5), (5, 2, 8): (8, 6), (5, 3, 1): (1, 0), (5, 3, 2): (3, 2),
+        (5, 3, 6): (11, 10), (5, 3, 7): (13, 12),
+    }
+
+    def test_bounds_against_the_golden_optima(self):
+        cells = json.loads((GOLDEN / "search_optima.json").read_text())["cells"]
+        opt = {(f, z, s): k for f, z, s, k in cells}
+        assert len(opt) == 112
+        # The exact minimum S of each (K, F, Z) the table settles: the
+        # least S <= 8 with max_k >= K.
+        s_gaps, settled = {}, 0
+        for f, z in sorted({(f, z) for f, z, _ in opt}):
+            for k in range(1, opt[f, z, 8] + 1):
+                exact = min(s for s in range(1, 9) if opt[f, z, s] >= k)
+                bound = pk.recursive_lower_bound_s(k, f, z).value
+                settled += 1
+                if bound != exact:
+                    s_gaps[k, f, z] = (bound, exact)
+        assert settled == 166
+        assert s_gaps == self.S_GAPS
+        k_gaps = {}
+        for (f, z, s), exact in opt.items():
+            cap = pk.upper_bound_k(f, z, s).value
+            if z == f - 2 and f >= 3:
+                cap = min(cap, pk.pjd_max_k(f, s).value)
+            if cap != exact:
+                k_gaps[f, z, s] = (cap, exact)
+        assert k_gaps == self.K_GAPS
+        assert len(opt) - len(k_gaps) == 86

@@ -330,9 +330,9 @@ class TestSearch:
         assert "node budget" in proc.stderr
 
     def test_node_count_stays_within_the_cap(self):
-        # Both cells need more than 1,000 nodes: (5, 3, 7) on the board,
+        # Both cells need more than 1,000 nodes: (5, 3, 8) on the board,
         # (5, 2, 8) in the column search.
-        for z, s in (("3", "7"), ("2", "8")):
+        for z, s in (("3", "8"), ("2", "8")):
             proc = run_cli(
                 "search", "maxk", "--f", "5", "--z", z, "--s", s, "--nodes", "1000"
             )
@@ -535,6 +535,23 @@ class TestCatalog:
         assert len(fs) == 999_999_999_999
         assert (fs[0], fs[-1]) == (2, 1_000_000_000_000)
         assert list(_parse_f_range("4")) == [4]
+
+    def test_closed_reader_ends_quietly(self):
+        # Like `pda catalog ... | head -1`: the reader leaves before the
+        # rows are written, and pda ends as a filter killed by SIGPIPE.
+        env = os.environ.copy()
+        env.pop("PDA_SEARCH_BUDGET", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdakit.cli", "catalog", "--f", "2..50", "--s-max", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141
+        assert stderr == b""
 
     def test_s_max_below_one_exits_two(self):
         for s_max in ("0", "-1"):

@@ -288,7 +288,7 @@ class TestLevels:
     def test_min_s_records_each_scanned_s(self):
         out = pk.min_s(10, 4, 2, quick())
         assert [lv.target for lv in out.levels] == [7, 8]
-        assert out.nodes_visited == 6406
+        assert out.nodes_visited == 527
         assert out.levels[-1].target == out.optimum
         assert out.levels[-1].code == "found"
         assert all(lv.code == "exhausted" for lv in out.levels[:-1])
@@ -306,9 +306,9 @@ class TestLevels:
             (pk.max_k(6, 3, 7, quick()), [(9, 111), (8, 16214), (7, 2950)]),
             (pk.max_k(6, 2, 11, quick()), [(8, 144), (7, 12120), (6, 4180)]),
             # Z = F-2: the board path, one node per placed hole subset.
-            (pk.max_k(4, 2, 5, quick()), [(7, 157), (6, 262)]),
-            (pk.min_s(10, 5, 3, quick()), [(5, 58)]),
-            (pk.max_k(5, 3, 7, quick()), [(13, 3495), (12, 18211)]),
+            (pk.max_k(4, 2, 5, quick()), [(7, 44), (6, 18)]),
+            (pk.min_s(10, 5, 3, quick()), [(5, 14)]),
+            (pk.max_k(5, 3, 7, quick()), [(13, 218), (12, 207)]),
         ]
         for out, expected in cases:
             assert [(lv.target, lv.nodes) for lv in out.levels] == expected
@@ -323,7 +323,7 @@ class TestLevels:
 
     def test_node_cap_is_never_exceeded(self):
         # The node the cap refuses is not counted, on either path.
-        for f, z, s in [(5, 3, 7), (5, 2, 8)]:
+        for f, z, s in [(5, 3, 8), (5, 2, 8)]:
             for cap in (1, 7, 1000):
                 out = pk.max_k(f, z, s, quick(node_budget=cap))
                 assert not out.exhausted, (f, z, s, cap)
@@ -440,9 +440,9 @@ class TestBoardPath:
         assert compared == 29
 
     def test_reproduces_the_board_pins(self):
-        # Recorded before the row break was tested on packed row counts: a
-        # faster node that keeps the tree keeps every node count and first
-        # witness of the board path.
+        # Recorded before the deficiency prune: it cuts only subtrees with
+        # no witness, so optima, exhausted flags and first witnesses stay,
+        # and node counts may only fall.
         table = json.loads((GOLDEN / "search_witnesses.json").read_text())["board"]
         runs = [(pk.max_k, row) for row in table["max_k"]]
         runs += [(pk.min_s, row) for row in table["min_s"]]
@@ -450,9 +450,9 @@ class TestBoardPath:
         for run, (args, optimum, exhausted, nodes, digest) in runs:
             out = run(*args, quick())
             cells = json.dumps(out.witness.cells).encode()
-            got = (out.optimum, out.exhausted, out.nodes_visited)
-            assert got == (optimum, exhausted, nodes), (run.__name__, args)
-            assert hashlib.sha256(cells).hexdigest() == digest, (run.__name__, args)
+            got = (out.optimum, out.exhausted, hashlib.sha256(cells).hexdigest())
+            assert got == (optimum, exhausted, digest), (run.__name__, args)
+            assert out.nodes_visited <= nodes, (run.__name__, args, out.nodes_visited)
 
     def test_budget_binds_on_hostile_shapes(self):
         # A 40-row board has 2^40 masks: the row break's memos stay bounded,
@@ -479,7 +479,9 @@ class TestBoardPath:
         assert pk.max_k(40, 38, 2, SearchConfig(node_budget=5)).nodes_visited == 5
 
     def test_abort_witness_is_the_largest_matching(self):
-        out = pk.max_k(5, 3, 7, quick(node_budget=3000))
+        # The largest matching seen counts prefixes too, not only whole
+        # boards: any matching of placed symbols is a valid grid.
+        out = pk.max_k(5, 3, 8, quick(node_budget=1000))
         assert not out.exhausted
         assert out.optimum == max(lv.deepest for lv in out.levels) >= 1
         assert pk.verify(out.witness, expected_z=3).valid
