@@ -112,10 +112,14 @@ its symbol's cells and edges to the prefix graph and grows the parent's
 maximum matching to the child's (see _board_feasible).  The witness's rows
 are relabeled so that its first column stars rows 0..Z-1.
 
-max_k scans target K downward from the certified cap, min_s scans S upward
-from the certified floor; exhausted outcomes are exact, budget-bounded ones
-degrade to honest witnessed bounds.  Each scanned level is recorded in
-SearchOutcome.levels.
+One driver, _scan, runs the levels of both searches: max_k asks for each
+target K downward from the certified cap, min_s for each S upward from the
+certified floor.  _scan times and records every level in
+SearchOutcome.levels, stops at the first found or aborted one and keeps the
+witness.  Exhausted outcomes are exact; aborted ones degrade to honest
+witnessed bounds.  A level aborts on the node or time budget, or when the
+engine's recursion (one frame per column cell, or per symbol on the board)
+reaches Python's limit.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .bounds import (
     pjd_max_k,
@@ -136,7 +141,7 @@ from .core import Cell, PdaGrid, PdaUsageError, verify
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and strategy knobs for the exhaustive searches.
+    """Budgets for the exhaustive searches.
 
     time_budget is wall seconds, node_budget counts column placements
     (candidate hole subsets, for Z = F-2); whichever runs out first aborts the
@@ -161,8 +166,10 @@ _FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
 @dataclass(frozen=True)
 class SearchLevel:
     """One scanned level of a search: the K asked for by max_k, or the S
-    tried by min_s.  code is "found", "exhausted" or "abort"; deepest is the
-    longest valid column prefix the pruned search reached (the potential
+    tried by min_s.  code is "found", "exhausted" or "abort"; abort means
+    the node or time budget ran out, or the search's recursion reached
+    Python's limit.  deepest is the column count of the level's witness:
+    the longest valid column prefix the pruned search reached (the potential
     prune cuts prefixes that cannot reach the target, so it can be shorter
     than the longest valid prefix), or for Z = F-2 the largest matching
     seen on a prefix of placed symbols or a whole board."""
@@ -278,11 +285,10 @@ _Column = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 def _feasible(
     f: int, z: int, s: int, target: int, budget: _Budget
-) -> tuple[SearchLevel, PdaGrid]:
-    """One feasibility run for target >= 1.  Returns (level, grid): the
+) -> tuple[str, PdaGrid]:
+    """One feasibility run for target >= 1.  Returns (code, grid): the
     witness on success, otherwise the deepest valid prefix reached (a
     witness for its own length)."""
-    start, start_count = time.monotonic(), budget.count
     # Twin classes -> their allowed star sets; held counts the star sets.
     allowed: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
     held = 0
@@ -294,7 +300,6 @@ def _feasible(
     # Potential prune: the symbols must still be able to supply every cell.
     slack = s * (z + 1) - target * (f - z)
     deficit = 0  # sum over symbols of Z+1 minus their potential
-    best = 0
     best_cols: list[_Column] = []
 
     def place_cells(
@@ -353,9 +358,8 @@ def _feasible(
         return _EXHAUSTED
 
     def descend(depth: int) -> str:
-        nonlocal best, best_cols, held
-        if depth > best:
-            best = depth
+        nonlocal best_cols, held
+        if depth > len(best_cols):
             best_cols = list(cols)
         if depth == target:
             return _FOUND
@@ -383,17 +387,13 @@ def _feasible(
                 return code
         return _EXHAUSTED
 
-    code = descend(0)
-    level = SearchLevel(
-        target=target,
-        code=code,
-        nodes=budget.count - start_count,
-        elapsed_s=time.monotonic() - start,
-        deepest=best,
-    )
+    try:
+        code = descend(0)
+    except RecursionError:  # one frame per column and one per cell
+        code = _ABORT
     chosen = cols if code == _FOUND else best_cols
     columns = [zip(nonstars, syms) for _, nonstars, syms, _ in chosen]
-    return level, _columns_to_grid(f, s, columns)
+    return code, _columns_to_grid(f, s, columns)
 
 
 def _columns_to_grid(f: int, s: int, columns) -> PdaGrid:
@@ -555,10 +555,10 @@ def _row_break_need(packed: int, f: int, w: int) -> int:
 
 def _board_feasible(
     f: int, z: int, s: int, target: int, budget: _Budget
-) -> tuple[SearchLevel, PdaGrid]:
+) -> tuple[str, PdaGrid]:
     """One board run for Z = F-2 and target >= 1: enumerate hole sets of
     F*S - 2*target holes up to row and symbol relabeling and look for a
-    perfect matching of the occupied cells.  Returns (level, grid): the
+    perfect matching of the occupied cells.  Returns (code, grid): the
     witness on success, otherwise the largest matching seen, of a prefix
     or of a whole board (a valid grid of its own size).
 
@@ -568,7 +568,6 @@ def _board_feasible(
     matching.  The graph and one maximum matching per depth are kept as the
     search goes: a child appends x's cells and edges, copies its parent's
     matching and grows it with _grow instead of matching from scratch."""
-    start, start_count = time.monotonic(), budget.count
     full = (1 << f) - 1
     holes = [0] * s
     # Row hole counts packed w bits per row, row r at bit r*w; a count never
@@ -673,35 +672,54 @@ def _board_feasible(
                 m = (((m + low) ^ m) >> 2) // low | (m + low)
         return _EXHAUSTED
 
-    code = place(0, 1, 1, f * s - 2 * target, 0)
+    try:
+        code = place(0, 1, 1, f * s - 2 * target, 0)
+    except RecursionError:  # one frame per symbol
+        code = _ABORT
     if best:
         # Row symmetry: move the first column's two rows to F-2 and F-1.
         (a, _), (b, _) = best[0]
         order = [r for r in range(f) if r not in (a, b)] + [a, b]
         new = {old: i for i, old in enumerate(order)}
         best = [((new[r1], x1), (new[r2], x2)) for (r1, x1), (r2, x2) in best]
-    level = SearchLevel(
-        target=target,
-        code=code,
-        nodes=budget.count - start_count,
-        elapsed_s=time.monotonic() - start,
-        deepest=len(best),
-    )
-    return level, _columns_to_grid(f, s, best)
+    return code, _columns_to_grid(f, s, best)
 
 
-def _outcome(
-    optimum: int,
-    witness: PdaGrid,
-    exhausted: bool,
-    budget: _Budget,
-    start: float,
-    levels: list[SearchLevel],
+def _scan(
+    f: int,
+    z: int,
+    asks: Iterable[tuple[int, int, int]],
+    known: PdaGrid,
+    value: Callable[[PdaGrid], int],
+    cfg: SearchConfig | None,
 ) -> SearchOutcome:
+    """The level driver of max_k and min_s.  For each (target, S, K) of
+    asks, in order, it asks whether a K-column grid on S symbols exists and
+    records the level under target.  A found level ends the scan with its
+    grid, an exact optimum.  Otherwise the witness is the grid with the most
+    columns among known (a valid grid at the fallback value) and each
+    level's deepest prefix: exact when every level exhausted, an honest
+    bound when one aborted, which ends the scan.  value reads the optimum
+    off the witness."""
+    start = time.monotonic()
+    budget = _Budget(cfg or SearchConfig())
+    feasible = _board_feasible if z == f - 2 else _feasible
+    best, code, levels = known, _EXHAUSTED, []
+    for target, s, k in asks:
+        level_start, before = time.monotonic(), budget.count
+        code, grid = feasible(f, z, s, k, budget)
+        elapsed = time.monotonic() - level_start
+        levels.append(SearchLevel(target, code, budget.count - before, elapsed, grid.k))
+        if code == _FOUND:
+            best = grid
+            break
+        best = max(best, grid, key=lambda g: g.k)
+        if code == _ABORT:
+            break
     return SearchOutcome(
-        optimum=optimum,
-        witness=witness,
-        exhausted=exhausted,
+        optimum=value(best),
+        witness=best,
+        exhausted=code != _ABORT,
         nodes_visited=budget.count,
         elapsed=time.monotonic() - start,
         levels=tuple(levels),
@@ -715,33 +733,15 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
 
     The cap is (Z+1)S/(F-Z); at Z = F-2 the row-population refutation
     lowers it further.  Both are theorems, so a found target under the cap
-    is still an exact, exhausted optimum.  On budget exhaustion the outcome
+    is still an exact, exhausted optimum.  When a level aborts the outcome
     carries the deepest valid prefix found anywhere as witness and
     exhausted=False.
     """
-    if cfg is None:
-        cfg = SearchConfig()
-    if f < 1 or not 0 <= z < f:
-        raise PdaUsageError("need F >= 1 and Z in [0, F)")
-    if s < 0:
-        raise PdaUsageError("S must be nonnegative")
-    start = time.monotonic()
-    budget = _Budget(cfg)
     cap = upper_bound_k(f, z, s).value
     if z == f - 2 and f >= 3 and s >= 1:
         cap = min(cap, pjd_max_k(f, s).value)
-    feasible = _board_feasible if z == f - 2 else _feasible
-    levels: list[SearchLevel] = []
-    best = PdaGrid(f=f, k=0, s=s, cells=())
-    for target in range(cap, 0, -1):
-        level, grid = feasible(f, z, s, target, budget)
-        levels.append(level)
-        if level.code == _FOUND:
-            return _outcome(target, grid, True, budget, start, levels)
-        best = max(best, grid, key=lambda g: g.k)
-        if level.code == _ABORT:
-            return _outcome(best.k, best, False, budget, start, levels)
-    return _outcome(0, best, True, budget, start, levels)
+    asks = [(t, s, t) for t in range(cap, 0, -1)]
+    return _scan(f, z, asks, PdaGrid(f=f, k=0, s=s, cells=()), lambda g: g.k, cfg)
 
 
 def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
@@ -759,33 +759,18 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     from the certified floor, asking feasibility of K at each level.
 
     The floor is the recursion bound, which is never below the term-sum
-    bound.  Exact when every scanned level exhausts; on budget exhaustion
-    falls back to the trivial witness with all-distinct symbols
+    bound.  Exact when every scanned level exhausts; when a level aborts
+    the witness is the trivial grid with all-distinct symbols
     (S = K(F-Z)) and exhausted=False.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     if f < 1 or not 0 <= z < f:
         raise PdaUsageError("need F >= 1 and Z in [0, F)")
     if k < 0:
         raise PdaUsageError("K must be nonnegative")
-    start = time.monotonic()
-    budget = _Budget(cfg)
-    if k == 0:
-        return _outcome(0, PdaGrid(f=f, k=0, s=0, cells=()), True, budget, start, [])
-    floor_s = recursive_lower_bound_s(k, f, z).value
-    ceiling = k * (f - z)
-    feasible = _board_feasible if z == f - 2 else _feasible
-    levels: list[SearchLevel] = []
-    for s in range(floor_s, ceiling + 1):
-        level, grid = feasible(f, z, s, k, budget)
-        levels.append(replace(level, target=s))
-        if level.code == _FOUND:
-            return _outcome(s, grid, True, budget, start, levels)
-        if level.code == _ABORT:
-            break
-    # Reached only on abort: the ceiling level is always feasible.
-    return _outcome(ceiling, _trivial_grid(k, f, z), False, budget, start, levels)
+    # K = 0 needs no symbol: the empty scan returns the empty grid, exact.
+    floor_s = recursive_lower_bound_s(k, f, z).value if k else 1
+    asks = [(s, s, k) for s in range(floor_s, k * (f - z) + 1)]
+    return _scan(f, z, asks, _trivial_grid(k, f, z), lambda g: g.s, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -265,5 +265,5 @@ def test_deficiency_prune_keeps_every_level_code(f, s):
     # The space is 24 boards, and every target of each is compared.
     for target in range(1, f * s // 2 + 1):
         budget = search._Budget(pk.SearchConfig())
-        level, _ = search._board_feasible(f, f - 2, s, target, budget)
-        assert level.code == unpruned_level_code(f, s, target), (f, s, target)
+        code, _ = search._board_feasible(f, f - 2, s, target, budget)
+        assert code == unpruned_level_code(f, s, target), (f, s, target)

@@ -341,6 +341,20 @@ class TestSearch:
             assert obj["exhausted"] is False
             assert obj["nodes"] == 1000
 
+    def test_deep_levels_end_as_honest_bounds(self):
+        # Both first levels recurse deeper than Python's limit: the board
+        # once per symbol at (4, 2, 2000), the column search once per column
+        # and cell at (4, 1, 2000).  Each aborts with its witness, not a
+        # traceback.
+        for z in ("2", "1"):
+            proc = run_cli(
+                "search", "maxk", "--f", "4", "--z", z, "--s", "2000", "--nodes", "20000"
+            )
+            assert proc.returncode == 0, proc.stderr
+            obj = last_json(proc.stdout)
+            assert obj["exhausted"] is False
+            assert obj["nodes"] <= 20000
+
     def test_potential_prune_cuts_the_dead_levels(self):
         # (5, 2, 10) sits where the element bound is tight: without the
         # potential prune its one level walks 251,317 nodes.

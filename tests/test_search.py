@@ -318,8 +318,12 @@ class TestLevels:
             ((5, 3, 5), [(10, 21)]),
         ]:
             budget = search._Budget(quick())
-            got = [search._feasible(f, z, s, t, budget)[0] for t, _ in expected]
-            assert [(lv.target, lv.nodes) for lv in got] == expected
+            got = []
+            for t, _ in expected:
+                before = budget.count
+                search._feasible(f, z, s, t, budget)
+                got.append((t, budget.count - before))
+            assert got == expected
 
     def test_node_cap_is_never_exceeded(self):
         # The node the cap refuses is not counted, on either path.
@@ -344,6 +348,38 @@ class TestLevels:
     def test_no_level_without_a_scan(self):
         assert pk.max_k(4, 2, 0, quick()).levels == ()
         assert pk.min_s(0, 5, 2, quick()).levels == ()
+
+    def test_min_s_abort_keeps_the_trivial_witness(self):
+        # S = 7 is the recursion floor; the budget runs out at S = 8, so the
+        # bound is K(F-Z) = 20, witnessed by the all-distinct grid: the
+        # aborted level's deepest prefix has 9 columns, not 10.
+        out = pk.min_s(10, 4, 2, quick(node_budget=300))
+        assert pk.recursive_lower_bound_s(10, 4, 2).value == 7
+        got = [(lv.target, lv.code, lv.nodes) for lv in out.levels]
+        assert got == [(7, "exhausted", 96), (8, "abort", 204)]
+        assert [lv.deepest for lv in out.levels] == [7, 9]
+        assert not out.exhausted
+        assert out.optimum == 20
+        assert out.witness == search._trivial_grid(10, 4, 2)
+
+    @pytest.mark.parametrize(
+        "f, z, s, cap",
+        [
+            # Board path: one frame per symbol, so S = 2000 symbols go deeper
+            # than the recursion limit before the deficiency prune can cut.
+            (4, 2, 2000, 8000),
+            # Column path: one frame per column and one per cell.
+            (4, 1, 600, 300),
+        ],
+    )
+    def test_recursion_depth_aborts_with_a_witness(self, f, z, s, cap):
+        out = pk.max_k(f, z, s, quick(node_budget=cap))
+        assert out.exhausted is False
+        assert out.levels[-1].code == "abort"
+        assert out.nodes_visited < cap  # the recursion bound, not the budget
+        assert out.optimum == out.witness.k
+        assert (out.witness.f, out.witness.s) == (f, s)
+        assert pk.verify(out.witness, expected_z=z).valid
 
 
 class TestColumnPath:
@@ -432,7 +468,7 @@ class TestBoardPath:
             board = pk.max_k(f, z, s, quick())
             budget = search._Budget(quick(node_budget=20_000))
             targets = [lv.target for lv in board.levels]
-            column = [search._feasible(f, z, s, t, budget)[0].code for t in targets]
+            column = [search._feasible(f, z, s, t, budget)[0] for t in targets]
             if "abort" in column:
                 continue
             assert column == [lv.code for lv in board.levels], (f, s)
