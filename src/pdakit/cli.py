@@ -152,6 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "s": grid.s,
         "s_used": grid.s_used(),
         "violation_count": len(report.violations),
+        "truncated": report.truncated,
         "violations": [
             {"type": type(v).__name__, **dataclasses.asdict(v)}
             for v in report.violations[:50]

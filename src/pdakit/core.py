@@ -225,6 +225,11 @@ Violation = RowRepeat | ColRepeat | CornerViolation | StarCountMismatch
 class VerificationReport:
     """Outcome of verify(): overall verdict plus per-symbol statistics.
 
+    violations holds the first _MAX_VIOLATIONS violations: row repeats by
+    (row, col_b), column repeats by (col, row_b), star-corner violations
+    symbol by symbol in order of first occurrence, then star-count
+    mismatches.  truncated says the grid has more than that; verify() stops
+    looking there, so valid is exact but the full list is not made.
     multiplicity maps every symbol in [0, s) to its occurrence count
     (including 0 for unused symbols); missing_rows maps each symbol to the
     set of rows where it does not appear.
@@ -234,7 +239,12 @@ class VerificationReport:
     violations: tuple[Violation, ...]
     multiplicity: Mapping[int, int]
     missing_rows: Mapping[int, frozenset[int]]
+    truncated: bool = False
 
+
+# A grid of one symbol has violations for nearly all of its cell pairs; the
+# report lists this many and says the rest were cut.
+_MAX_VIOLATIONS = 1000
 
 V = TypeVar("V")
 
@@ -270,35 +280,42 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     and only for rows that hold a symbol.  Any other symbol, and one the
     masks reject, walks its occurrence pairs, which lists its violations
     in order.  So a valid grid costs O(F*K) steps of at most one K-bit
-    integer operation each, and an invalid grid adds the pairs of the
-    symbols that fail.
+    integer operation each.
+
+    The violations are made lazily, in report order, and only the first
+    _MAX_VIOLATIONS + 1 are taken.  Repeats, at most two per cell, are
+    found for every cell and kept as tuples until then.  A pair walk runs
+    only when they fit in the report, and stops once it is settled as
+    truncated, so an invalid grid adds at most _MAX_VIOLATIONS + 1
+    violating pairs, plus the pairs it skips: those that share a row or a
+    column (fewer than _MAX_VIOLATIONS**2, as the repeats fit) and those
+    whose corners are stars.
     """
     f, k = grid.f, grid.k
+    cells = grid.cells
     occurrences = grid._symbol_cells
 
     @cache
     def star_mask(i: int) -> int:
         """Bit j set iff cell (i, j) is a star."""
-        row = grid.cells[i * k : i * k + k]
+        row = cells[i * k : i * k + k]
         return int("".join(["0" if c is not None else "1" for c in reversed(row)]), 2)
 
     # Property 1, row and column uniqueness: each later cell of a symbol in
-    # a row (column) repeats the first one there.  Property 2, the
-    # star-corner condition, for every equal-symbol pair in distinct rows
-    # and columns.
-    row_repeats: list[RowRepeat] = []
-    col_repeats: list[ColRepeat] = []
-    corners: list[CornerViolation] = []
+    # a row (column) repeats the first one there, kept as a sortable tuple.
+    row_repeats: list[tuple[int, int, int, int]] = []  # (row, col_b, symbol, col_a)
+    col_repeats: list[tuple[int, int, int, int]] = []  # (col, row_b, symbol, row_a)
+    suspects: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for sym, occs in occurrences.items():
         first_col: dict[int, int] = {}
         first_row: dict[int, int] = {}
         for i, j in occs:
             col_a = first_col.setdefault(i, j)
             if col_a != j:
-                row_repeats.append(RowRepeat(row=i, symbol=sym, col_a=col_a, col_b=j))
+                row_repeats.append((i, j, sym, col_a))
             row_a = first_row.setdefault(j, i)
             if row_a != i:
-                col_repeats.append(ColRepeat(col=j, symbol=sym, row_a=row_a, row_b=i))
+                col_repeats.append((j, i, sym, row_a))
         if len(first_col) == len(first_row) == len(occs):
             # One cell per row and column: the symbol's corners are all
             # stars iff each cell's row stars every other column it uses.
@@ -307,31 +324,41 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
                 cols |= 1 << j
             if all((star_mask(i) & cols) | (1 << j) == cols for i, j in occs):
                 continue
-        for (ra, ca), (rb, cb) in itertools.combinations(occs, 2):
-            if ra == rb or ca == cb:
-                continue  # already reported as a repeat
-            if grid.cells[ra * k + cb] is not None:
-                corners.append(
-                    CornerViolation(sym, ra, ca, rb, cb, corner_row=ra, corner_col=cb)
-                )
-            if grid.cells[rb * k + ca] is not None:
-                corners.append(
-                    CornerViolation(sym, ra, ca, rb, cb, corner_row=rb, corner_col=ca)
-                )
-    row_repeats.sort(key=lambda v: (v.row, v.col_b))
-    col_repeats.sort(key=lambda v: (v.col, v.row_b))
-    violations: list[Violation] = [*row_repeats, *col_repeats, *corners]
+        suspects.append((sym, occs))
+    row_repeats.sort()
+    col_repeats.sort()
 
-    if expected_z is not None:
-        for j, found in enumerate(grid._column_stars):
-            if found != expected_z:
-                violations.append(StarCountMismatch(col=j, found=found, expected=expected_z))
+    def corners() -> Iterator[CornerViolation]:
+        """Property 2, the star-corner condition, for every equal-symbol
+        pair of a suspect symbol in distinct rows and columns."""
+        for sym, occs in suspects:
+            for (ra, ca), (rb, cb) in itertools.combinations(occs, 2):
+                if ra == rb or ca == cb:
+                    continue  # already reported as a repeat
+                if cells[ra * k + cb] is not None:
+                    yield CornerViolation(sym, ra, ca, rb, cb, corner_row=ra, corner_col=cb)
+                if cells[rb * k + ca] is not None:
+                    yield CornerViolation(sym, ra, ca, rb, cb, corner_row=rb, corner_col=ca)
+
+    found: Iterator[Violation] = itertools.chain(
+        (RowRepeat(i, sym, col_a, col_b) for i, col_b, sym, col_a in row_repeats),
+        (ColRepeat(j, sym, row_a, row_b) for j, row_b, sym, row_a in col_repeats),
+        corners(),
+        ()
+        if expected_z is None
+        else (
+            StarCountMismatch(col=j, found=n, expected=expected_z)
+            for j, n in enumerate(grid._column_stars)
+            if n != expected_z
+        ),
+    )
+    violations = tuple(itertools.islice(found, _MAX_VIOLATIONS + 1))
 
     # One all-rows set, built on first read: a K = 0 header may declare any F.
     all_rows = cache(lambda: frozenset(range(f)))
     return VerificationReport(
         valid=not violations,
-        violations=tuple(violations),
+        violations=violations[:_MAX_VIOLATIONS],
         multiplicity=_PerSymbol(
             grid.s, {x: len(occs) for x, occs in occurrences.items()}, int
         ),
@@ -340,6 +367,7 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
             {x: all_rows() - {i for i, _ in occs} for x, occs in occurrences.items()},
             all_rows,
         ),
+        truncated=len(violations) > _MAX_VIOLATIONS,
     )
 
 

@@ -105,6 +105,14 @@ class TestVerify:
         kinds = {v["type"] for v in obj["violations"]}
         assert "CornerViolation" in kinds
 
+    def test_hostile_grid_report_is_truncated(self):
+        hostile = pk.render(pk.PdaGrid(f=30, k=30, s=1, cells=(0,) * 900))
+        proc = run_cli("verify", "-", stdin=hostile)
+        assert proc.returncode == 1
+        obj = last_json(proc.stdout)
+        assert (obj["valid"], obj["truncated"]) == (False, True)
+        assert obj["violation_count"] == 1000 and len(obj["violations"]) == 50
+
     def test_expected_z_mismatch_exits_one(self):
         built = run_cli("construct", "mn", "--f", "4", "--z", "2").stdout
         proc = run_cli("verify", "-", "--z", "3", stdin=built)

@@ -3,6 +3,7 @@
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,25 @@ class TestVerify:
         assert not rep.valid
         assert pk.StarCountMismatch(col=0, found=1, expected=0) in rep.violations
         assert pk.verify(IDENTITY_2, expected_z=1).valid
+
+    def test_hostile_grid_costs_its_cells(self):
+        # A 40 x 40 grid of one symbol has 2,436,720 violations; listing
+        # them all took about 400 MB.  Every reader of verify stops at the
+        # cap.
+        g = pk.PdaGrid(f=40, k=40, s=1, cells=(0,) * 1600)
+        tracemalloc.start()
+        try:
+            rep = pk.verify(g)
+            with pytest.raises(pk.PdaUsageError, match="not a valid PDA"):
+                pk.decompose(g)
+            sr = pk.structural_checks(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.valid and rep.truncated
+        assert len(rep.violations) == pk.core._MAX_VIOLATIONS
+        assert (sr.maxd, sr.maxe, sr.nar) == ("not-applicable",) * 3
+        assert peak < 8 * 2**20, peak
 
     def test_corpus_all_valid_with_occurrence_laws(self, corpus):
         assert len(corpus) >= 1000

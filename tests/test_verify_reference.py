@@ -3,15 +3,20 @@
 The reference below makes its own full passes over the grid: one that
 collects each symbol's cells, one per row for row repeats and one per
 column for column repeats.  The library reads each symbol's cells from the
-grid's kept census instead; both must give equal reports, violations in
-the same order, on valid grids, on random grids (mostly invalid) and on the
-hostile single-symbol grid.
+grid's kept census instead.  The reference lists every violation; the
+library's report must hold its first CAP, in the same order, and say
+whether there were more.  Both are compared on valid grids, on random grids
+(mostly invalid), on grids of one symbol on both sides of the cap, and on
+grids where the cap falls inside the star-corner walk.
 """
 
 import itertools
 import random
 
+import pytest
+
 import pdakit as pk
+from pdakit.core import _MAX_VIOLATIONS as CAP
 
 STAR = None
 
@@ -85,7 +90,8 @@ def ref_verify(grid, expected_z=None):
 def assert_same_report(grid, expected_z=None):
     got, want = pk.verify(grid, expected_z), ref_verify(grid, expected_z)
     assert got.valid == want.valid
-    assert got.violations == want.violations
+    assert got.violations == want.violations[:CAP]
+    assert got.truncated == (len(want.violations) > CAP)
     assert got.multiplicity == want.multiplicity
     assert got.missing_rows == want.missing_rows
     return got
@@ -122,9 +128,64 @@ def test_corpus_and_perturbed_copies(corpus):
 
 
 def test_hostile_single_symbol_grid():
+    # 760 row and column repeats, then 144,400 corner violations: the
+    # report keeps the first CAP in the reference's order and stops.
     g = pk.PdaGrid(f=20, k=20, s=1, cells=(0,) * 400)
     rep = assert_same_report(g, 0)
-    assert len(rep.violations) > 100_000
+    assert rep.truncated and not rep.valid
+    assert len(rep.violations) == CAP
+    kinds = [type(v) for v in rep.violations]
+    assert kinds == [pk.RowRepeat] * 380 + [pk.ColRepeat] * 380 + [pk.CornerViolation] * 240
+    assert rep.violations[0] == pk.RowRepeat(row=0, symbol=0, col_a=0, col_b=1)
+    assert rep.violations[380] == pk.ColRepeat(col=0, symbol=0, row_a=0, row_b=1)
+    assert rep.violations[760] == pk.CornerViolation(0, 0, 0, 1, 1, corner_row=0, corner_col=1)
+    assert rep.violations[-1] == pk.CornerViolation(0, 0, 0, 7, 6, corner_row=7, corner_col=0)
+
+
+@pytest.mark.parametrize("extra, truncated", [(0, False), (1, True)])
+def test_one_row_of_one_symbol_at_the_cap(extra, truncated):
+    # A row of n equal symbols has n - 1 row repeats and no corner pairs.
+    g = pk.PdaGrid(f=1, k=CAP + 1 + extra, s=1, cells=(0,) * (CAP + 1 + extra))
+    rep = assert_same_report(g)
+    assert rep.truncated is truncated
+    assert rep.violations == tuple(
+        pk.RowRepeat(row=0, symbol=0, col_a=0, col_b=j) for j in range(1, CAP + 1)
+    )
+
+
+def test_cap_inside_the_corner_walk_drops_star_count_mismatches():
+    # No column has a star, so expected_z=1 fails every column, but those
+    # mismatches come after the 264 repeats and 17,424 corners, past the cap.
+    g = pk.PdaGrid(f=12, k=12, s=1, cells=(0,) * 144)
+    got, want = pk.verify(g, 1), ref_verify(g, 1)
+    assert want.violations[-12:] == tuple(
+        pk.StarCountMismatch(col=j, found=0, expected=1) for j in range(12)
+    )
+    assert got.truncated and got.violations == want.violations[:CAP]
+    assert not any(isinstance(v, pk.StarCountMismatch) for v in got.violations)
+
+
+def test_small_grids_property():
+    # An 8 x 8 grid of one symbol has 3,248 violations, so the cap is
+    # crossed both ways.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def grids(draw):
+        f, k, s = draw(st.integers(1, 8)), draw(st.integers(0, 8)), draw(st.integers(1, 3))
+        cells = draw(st.lists(st.one_of(st.none(), st.integers(0, s - 1)),
+                              min_size=f * k, max_size=f * k))
+        return pk.PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grids(), st.one_of(st.none(), st.integers(0, 8)))
+    @example(pk.PdaGrid(f=8, k=8, s=1, cells=(0,) * 64), 0)
+    def check(grid, z):
+        assert_same_report(grid, z)
+
+    check()
 
 
 def test_non_star_corner_in_a_high_multiplicity_grid():
