@@ -287,9 +287,9 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     found for every cell and kept as tuples until then.  A pair walk runs
     only when they fit in the report, and stops once it is settled as
     truncated, so an invalid grid adds at most _MAX_VIOLATIONS + 1
-    violating pairs, plus the pairs it skips: those that share a row or a
+    violating pairs, plus the pairs it steps over: those that share a
     column (fewer than _MAX_VIOLATIONS**2, as the repeats fit) and those
-    whose corners are stars.
+    whose corners are stars.  Pairs within a row are skipped in bulk.
     """
     f, k = grid.f, grid.k
     cells = grid.cells
@@ -332,13 +332,20 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
         """Property 2, the star-corner condition, for every equal-symbol
         pair of a suspect symbol in distinct rows and columns."""
         for sym, occs in suspects:
-            for (ra, ca), (rb, cb) in itertools.combinations(occs, 2):
-                if ra == rb or ca == cb:
-                    continue  # already reported as a repeat
-                if cells[ra * k + cb] is not None:
-                    yield CornerViolation(sym, ra, ca, rb, cb, corner_row=ra, corner_col=cb)
-                if cells[rb * k + ca] is not None:
-                    yield CornerViolation(sym, ra, ca, rb, cb, corner_row=rb, corner_col=ca)
+            later = 0  # index of the first cell in a row below the current one
+            for a, (ra, ca) in enumerate(occs):
+                if later <= a:
+                    # Cells are row-major: skip the rest of this row at once.
+                    later = a + 1
+                    while later < len(occs) and occs[later][0] == ra:
+                        later += 1
+                for rb, cb in occs[later:]:
+                    if cb == ca:
+                        continue  # already reported as a repeat
+                    if cells[ra * k + cb] is not None:
+                        yield CornerViolation(sym, ra, ca, rb, cb, corner_row=ra, corner_col=cb)
+                    if cells[rb * k + ca] is not None:
+                        yield CornerViolation(sym, ra, ca, rb, cb, corner_row=rb, corner_col=ca)
 
     found: Iterator[Violation] = itertools.chain(
         (RowRepeat(i, sym, col_a, col_b) for i, col_b, sym, col_a in row_repeats),
@@ -432,18 +439,50 @@ def symbol_dual(grid: PdaGrid) -> PdaGrid:
     if grid.s < 1:
         raise PdaUsageError("symbol dual needs a nonempty symbol space")
     f, k, s = grid.f, grid.k, grid.s
-    cells: list[Cell] = [None] * (s * k)
-    for i in range(f):
-        for j in range(k):
-            c = grid.cells[i * k + j]
-            if c is None:
-                continue
-            if cells[c * k + j] is not None:
-                raise PdaUsageError(
-                    f"symbol {c} repeats in column {j}; dual is undefined"
-                )
-            cells[c * k + j] = i
-    return PdaGrid(f=s, k=k, s=f, cells=tuple(cells))
+    occurrences = grid._symbol_cells
+
+    def pieces() -> Iterator[Iterable[Cell]]:
+        """Dual row x, left to right: runs of stars between x's cells."""
+        for x in range(s):
+            end = 0  # one past the column of x's last cell so far
+            for j, i in sorted((j, i) for i, j in occurrences.get(x, ())):
+                if j < end:
+                    raise _first_column_repeat(occurrences)
+                yield itertools.repeat(None, j - end)
+                yield (i,)
+                end = j + 1
+            yield itertools.repeat(None, k - end)
+
+    cells = tuple(_Sized(itertools.chain.from_iterable(pieces()), s * k))
+    return PdaGrid(f=s, k=k, s=f, cells=cells)
+
+
+class _Sized:
+    """An iterator with a known length, so tuple() allocates the result at
+    its final size at once instead of growing it."""
+
+    def __init__(self, items: Iterator, n: int) -> None:
+        self._items, self._n = items, n
+
+    def __iter__(self) -> Iterator:
+        return self._items
+
+    def __len__(self) -> int:
+        return self._n
+
+
+def _first_column_repeat(occurrences: Mapping[int, Sequence[tuple[int, int]]]) -> PdaUsageError:
+    """The error for the column repeat a row-major scan meets first."""
+    repeats = []
+    for x, occs in occurrences.items():
+        seen: set[int] = set()
+        for i, j in occs:
+            if j in seen:
+                repeats.append((i, j, x))
+                break
+            seen.add(j)
+    _, j, x = min(repeats)
+    return PdaUsageError(f"symbol {x} repeats in column {j}; dual is undefined")
 
 
 _AXES = ("rows", "cols", "syms")

@@ -249,6 +249,21 @@ class TestSymbolDual:
         with pytest.raises(pk.PdaUsageError):
             pk.symbol_dual(grid([[0], [0]], 1))
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            # Symbol 0 comes first in the census and in the dual's rows, but
+            # a row-major scan meets symbol 1's repeat, in row 1, first.
+            ([[0, 1], [STAR, 1], [0, STAR]], "symbol 1 repeats in column 1"),
+            # Both repeat in row 1: the scan meets column 0 first.
+            ([[0, 1], [0, 1]], "symbol 0 repeats in column 0"),
+            ([[1, 0], [1, 0]], "symbol 1 repeats in column 0"),
+        ],
+    )
+    def test_names_the_first_column_repeat_of_a_row_major_scan(self, rows, named):
+        with pytest.raises(pk.PdaUsageError, match=f"^{named}; dual is undefined$"):
+            pk.symbol_dual(grid(rows, 2))
+
 
 class TestRolePermute:
     def test_identity(self):

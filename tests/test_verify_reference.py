@@ -153,6 +153,27 @@ def test_one_row_of_one_symbol_at_the_cap(extra, truncated):
     )
 
 
+def test_one_column_of_one_symbol_at_the_cap():
+    # The column twin of the row case: 1,000 column repeats, then a walk
+    # over same-column pairs only, which has no corner to report.
+    g = pk.PdaGrid(f=CAP + 1, k=1, s=1, cells=(0,) * (CAP + 1))
+    rep = assert_same_report(g)
+    assert not rep.truncated
+    assert rep.violations == tuple(
+        pk.ColRepeat(col=0, symbol=0, row_a=0, row_b=i) for i in range(1, CAP + 1)
+    )
+
+
+@pytest.mark.parametrize("f, k", [(2, 400), (3, 250), (400, 2), (250, 3)])
+def test_long_rows_and_columns_of_one_symbol(f, k):
+    # Mostly symbol 0, so each row (column) holds a long run of repeats,
+    # and the walk crosses same-row and same-column pairs between corners.
+    rng = random.Random(f * 1000 + k)
+    cells = tuple(rng.choice((0, 0, 0, 0, 0, 0, 0, STAR, STAR, 1)) for _ in range(f * k))
+    rep = assert_same_report(pk.PdaGrid(f=f, k=k, s=2, cells=cells))
+    assert any(isinstance(v, pk.CornerViolation) for v in rep.violations)
+
+
 def test_cap_inside_the_corner_walk_drops_star_count_mismatches():
     # No column has a star, so expected_z=1 fails every column, but those
     # mismatches come after the 264 repeats and 17,424 corners, past the cap.
