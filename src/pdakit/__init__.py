@@ -5,7 +5,9 @@ star/symbol grids that encode cache placement and XOR delivery schedules.
 
 The six layers are lazy: `import pdakit` puts each of them in sys.modules
 and binds it here without running it, and a layer runs at the first use of
-a name from it.  So an error inside a layer surfaces at that first use.
+a name from it.  So an error inside a layer surfaces at that first use, and
+a run that raises leaves the layer lazy again: every later use runs it
+anew and raises the layer's own error.
 """
 
 import importlib.util
@@ -41,13 +43,39 @@ _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_LAYER_OF)
 
 
+class _Rearm:
+    """A layer's loader: a run that raises puts the module back as it was
+    before the run, lazy, instead of leaving it half-run."""
+
+    def __init__(self, loader) -> None:
+        self.loader = loader
+        self.lazy = None  # the lazy module class, set once the module is made
+
+    def __getattr__(self, name: str):  # create_module, get_source, ...
+        return getattr(self.loader, name)
+
+    def exec_module(self, module) -> None:
+        before = dict(vars(module))
+        state = module.__spec__.loader_state
+        try:
+            self.loader.exec_module(module)
+        except BaseException:
+            vars(module).clear()
+            vars(module).update(before)
+            state["is_loading"] = False  # the lazy loader's flag from 3.12 on
+            module.__class__ = self.lazy
+            raise
+
+
 def _lazy_layer(layer: str):
     """The layer's module, registered in sys.modules but not yet run."""
     spec = importlib.util.find_spec(f"{__name__}.{layer}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    rearm = _Rearm(spec.loader)
+    spec.loader = importlib.util.LazyLoader(rearm)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
+    rearm.lazy = type(module)
     return module
 
 

@@ -111,22 +111,25 @@ def recursive_lower_bound_s(k: int, f: int, z: int) -> BoundEstimate:
     _check_kfz(k, f, z)
     floor_s = lower_bound_s(k, f, z).value
     s = max(floor_s, 1)
-    while True:
-        t = ceil_div((f - z) * k, s)
-        if t <= z + 1:
-            k2, f2, z2 = t, f - t, z + 1 - t
-            if f2 < 1 or k2 < 1 or z2 >= f2:
-                sub = 0
-            else:
-                sub = lower_bound_s(k2, f2, z2).value
-            if s >= sub + 1:
-                return BoundEstimate(
-                    kind="lower_S_recursive",
-                    value=s,
-                    certified=True,
-                    trace=(floor_s, t, sub),
-                )
+    while (step := _extraction(k, f, z, s)) is None:
         s += 1
+    return BoundEstimate(
+        kind="lower_S_recursive", value=s, certified=True, trace=(floor_s, *step)
+    )
+
+
+def _extraction(k: int, f: int, z: int, s: int) -> tuple[int, int] | None:
+    """One step of the column-extraction recursion at exactly S symbols:
+    None when it refutes a (K, F, Z, S)-PDA, else (t, sub) with
+    t = ceil((F-Z)K/S) and sub the sub-problem's lower_bound_s (0 when
+    degenerate).  As S grows t cannot rise, and sub cannot rise with it, so
+    a step that passes at S passes at every larger S."""
+    t = ceil_div((f - z) * k, s)
+    if t > z + 1:
+        return None
+    k2, f2, z2 = t, f - t, z + 1 - t
+    sub = 0 if f2 < 1 or k2 < 1 or z2 >= f2 else lower_bound_s(k2, f2, z2).value
+    return (t, sub) if s >= sub + 1 else None
 
 
 def upper_bound_k(f: int, z: int, s: int) -> BoundEstimate:

@@ -113,13 +113,20 @@ maximum matching to the child's (see _board_feasible).  The witness's rows
 are relabeled so that its first column stars rows 0..Z-1.
 
 One driver, _scan, runs the levels of both searches: max_k asks for each
-target K downward from the certified cap, min_s for each S upward from the
-certified floor.  _scan times and records every level in
-SearchOutcome.levels, stops at the first found or aborted one and keeps the
-witness.  Exhausted outcomes are exact; aborted ones degrade to honest
-witnessed bounds.  A level aborts on the node or time budget, or when the
-engine's recursion (one frame per column cell, or per symbol on the board)
-reaches Python's limit.
+target K downward from its cap, min_s for each S upward from its floor.
+Each starts at the tightest bound the bounds layer proves.  The cap is the
+least of the counting bound (Z+1)S/(F-Z), pjd_max_k at Z = F-2, and the
+largest K whose column-extraction recursion bound on S is at most S; the
+floor is the greater of that recursion bound and, at Z = F-2, the least S
+whose pjd_max_k reaches K.  A level beyond either is refuted by a theorem,
+so skipping it keeps every exhausted outcome exact, and it is not recorded.
+_scan times and records every level it asks in SearchOutcome.levels, stops
+at the first found or aborted one and keeps the witness.  Exhausted
+outcomes are exact; aborted ones degrade to honest witnessed bounds.  A
+level aborts on the node or time budget, or when the engine's recursion
+(one frame per column cell, or per symbol on the board) reaches Python's
+limit.  The levels are generated as they are asked, so a huge cap or floor
+costs nothing up front.
 """
 
 from __future__ import annotations
@@ -131,6 +138,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .bounds import (
+    _extraction,
+    lower_bound_s,
     pjd_max_k,
     recursive_lower_bound_s,
     split_mf_r,
@@ -146,8 +155,10 @@ class SearchConfig:
     time_budget is wall seconds, node_budget counts column placements
     (candidate hole subsets, for Z = F-2); whichever runs out first aborts the
     search, and nodes_visited never exceeds node_budget.  The clock is read
-    on every node, so a time abort overruns the deadline by at most the work
-    of one node.  The search is sequential and bit-for-bit deterministic.
+    on every node and, inside the column search's cell enumeration (which
+    spends no node), every few thousand cell steps, so a time abort overruns
+    the deadline by at most that much work.  The search is sequential and
+    bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
@@ -201,7 +212,8 @@ class _Budget:
     """Node and deadline accounting, shared by the levels of one search."""
 
     def __init__(self, cfg: SearchConfig) -> None:
-        self.deadline = time.monotonic() + cfg.time_budget
+        self.start = time.monotonic()
+        self.deadline = self.start + cfg.time_budget
         self.cap = cfg.node_budget
         self.count = 0
 
@@ -220,6 +232,9 @@ class _Budget:
 # the board's two at F = 40) and keeps the entries of the subtree being
 # searched, which a memo that stops growing would not.
 _MEMO_CAP = 1 << 13
+
+# place_cells calls between two reads of the deadline inside one column.
+_CELL_STEPS = 1 << 12
 
 
 def _allowed_star_sets(
@@ -301,6 +316,11 @@ def _feasible(
     slack = s * (z + 1) - target * (f - z)
     deficit = 0  # sum over symbols of Z+1 minus their potential
     best_cols: list[_Column] = []
+    # A column's cells spend no node, and one column can try millions of
+    # partial assignments, so the deadline is also read every _CELL_STEPS
+    # place_cells calls.
+    deadline = budget.deadline
+    steps = _CELL_STEPS
 
     def place_cells(
         key: int,
@@ -311,7 +331,12 @@ def _feasible(
         tight: bool,
         last_syms: tuple[int, ...],
     ) -> str:
-        nonlocal used, deficit
+        nonlocal used, deficit, steps
+        steps -= 1
+        if not steps:
+            steps = _CELL_STEPS
+            if time.monotonic() > deadline:
+                return _ABORT
         if idx == len(nonstars):
             split = 0
             for x in syms:
@@ -565,11 +590,12 @@ def _board_feasible(
     Deficiency prune (see the module docstring): a child whose n0 placed
     cells have a maximum matching of ν pairs is dead when n0 - 2ν exceeds
     the c cells still to come; at a leaf c = 0, so a live leaf is a perfect
-    matching.  The graph and one maximum matching per depth are kept as the
-    search goes: a child appends x's cells and edges, copies its parent's
-    matching and grows it with _grow instead of matching from scratch."""
+    matching.  The graph is kept as the search goes: a child appends x's
+    cells and edges, copies the maximum matching its parent passes down and
+    grows it with _grow instead of matching from scratch.  Per-symbol state
+    is made when the search first places the symbol, so a level on a huge S
+    costs nothing before its first node."""
     full = (1 << f) - 1
-    holes = [0] * s
     # Row hole counts packed w bits per row, row r at bit r*w; a count never
     # exceeds S, so w leaves a spare bit.
     w = s.bit_length() + 1
@@ -578,24 +604,32 @@ def _board_feasible(
     spend = budget.spend
     # The graph of the placed symbols' cells, numbered symbol-major and
     # row-minor: adj[v] holds v's partners, ids[x][r] is the vertex of the
-    # cell (r, x).  mates[x] is a maximum matching of symbols 0..x-1.
+    # cell (r, x).  holes[x] is x's hole mask.
     adj: list[list[int]] = []
-    ids = [[-1] * f for _ in range(s)]
+    ids: list[list[int]] = []
+    holes: list[int] = []
     hole_syms: list[list[int]] = [[] for _ in range(f)]  # placed symbols by hole row
-    mates: list[list[int]] = [[]] * (s + 1)
     best: list[_Pair] = []
 
-    def pairs(mate: list[int]) -> list[_Pair]:
-        cells = [(r, y) for y in range(s) for r in range(f) if not (holes[y] >> r) & 1]
+    def pairs(mate: list[int], placed: int) -> list[_Pair]:
+        cells = [
+            (r, y) for y in range(placed) for r in range(f) if not (holes[y] >> r) & 1
+        ]
         return [(cells[u], cells[v]) for u, v in enumerate(mate) if u < v]
 
-    def place(x: int, size: int, mask: int, left: int, packed: int) -> str:
+    def place(
+        x: int, size: int, mask: int, left: int, packed: int, parent_mate: list[int]
+    ) -> str:
+        """Try each hole subset of symbol x; parent_mate is a maximum
+        matching of symbols 0..x-1."""
         nonlocal best
         rem = s - x
         later = f * (rem - 1)  # board cells of the symbols after x
         n_prev = len(adj)
-        parent_mate = mates[x]
         parent_nu = (n_prev - parent_mate.count(-1)) // 2
+        if x == len(ids):  # x is placed for the first time
+            ids.append([-1] * f)
+            holes.append(0)
         row_ids = ids[x]
         # Later symbols take subsets no smaller than this one, at most F each;
         # x's F - sz cells are never partners of each other, so at most
@@ -646,20 +680,19 @@ def _board_feasible(
                     mate = parent_mate + [-1] * (n0 - n_prev)
                     nu = parent_nu + _grow(adj, mate, n_prev)
                     if nu > len(best):
-                        best = pairs(mate)
+                        best = pairs(mate, x + 1)
                     if n0 - 2 * nu <= later - rest:
                         if rem == 1:
                             # The witness stays the matching found from
                             # scratch on the board's graph, which is this
                             # graph in the same order; the kept one may be
                             # another perfect matching.
-                            best = pairs(_max_matching(adj))
+                            best = pairs(_max_matching(adj), s)
                             return _FOUND
-                        mates[x + 1] = mate
                         down = [hole_syms[r] for r in range(f) if (m >> r) & 1]
                         for syms in down:
                             syms.append(x)
-                        code = place(x + 1, sz, m, rest, child)
+                        code = place(x + 1, sz, m, rest, child, mate)
                         if code != _EXHAUSTED:
                             return code
                         for syms in down:
@@ -673,7 +706,7 @@ def _board_feasible(
         return _EXHAUSTED
 
     try:
-        code = place(0, 1, 1, f * s - 2 * target, 0)
+        code = place(0, 1, 1, f * s - 2 * target, 0, [])
     except RecursionError:  # one frame per symbol
         code = _ABORT
     if best:
@@ -691,7 +724,7 @@ def _scan(
     asks: Iterable[tuple[int, int, int]],
     known: PdaGrid,
     value: Callable[[PdaGrid], int],
-    cfg: SearchConfig | None,
+    budget: _Budget,
 ) -> SearchOutcome:
     """The level driver of max_k and min_s.  For each (target, S, K) of
     asks, in order, it asks whether a K-column grid on S symbols exists and
@@ -701,8 +734,6 @@ def _scan(
     level's deepest prefix: exact when every level exhausted, an honest
     bound when one aborted, which ends the scan.  value reads the optimum
     off the witness."""
-    start = time.monotonic()
-    budget = _Budget(cfg or SearchConfig())
     feasible = _board_feasible if z == f - 2 else _feasible
     best, code, levels = known, _EXHAUSTED, []
     for target, s, k in asks:
@@ -721,9 +752,30 @@ def _scan(
         witness=best,
         exhausted=code != _ABORT,
         nodes_visited=budget.count,
-        elapsed=time.monotonic() - start,
+        elapsed=time.monotonic() - budget.start,
         levels=tuple(levels),
     )
+
+
+def _max_k_cap(f: int, z: int, s: int, deadline: float) -> int:
+    """The largest K that no theorem of bounds refutes at (F, Z, S): the
+    counting bound, at Z = F-2 also pjd_max_k, then stepped down past every
+    K whose recursion bound on S exceeds S.  Each K is tested on its own,
+    so the cap is sound whether or not that bound is monotone in K.  The
+    test is the recursion's term-sum floor and its extraction step at S
+    itself: a step that passes at some S' <= S passes at S, so this is
+    recursive_lower_bound_s(K) <= S without its scan over S'.  On a wide
+    grid the steps still add up, so they stop at the deadline: every K
+    above the cap reached so far is refuted, and the search's first level
+    then aborts at once."""
+    cap = upper_bound_k(f, z, s).value
+    if z == f - 2 and f >= 3 and s >= 1:
+        cap = min(cap, pjd_max_k(f, s).value)
+    while cap and time.monotonic() <= deadline:
+        if lower_bound_s(cap, f, z).value <= s and _extraction(cap, f, z, s):
+            break
+        cap -= 1
+    return cap
 
 
 def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -731,17 +783,18 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     targets downward from the certified cap and running the canonical
     feasibility search at each.
 
-    The cap is (Z+1)S/(F-Z); at Z = F-2 the row-population refutation
-    lowers it further.  Both are theorems, so a found target under the cap
-    is still an exact, exhausted optimum.  When a level aborts the outcome
-    carries the deepest valid prefix found anywhere as witness and
-    exhausted=False.
+    The cap (_max_k_cap) is the least of the counting bound (Z+1)S/(F-Z),
+    the row-population refutation at Z = F-2, and the largest K whose
+    column-extraction recursion bound on S is at most S.  Every K above it
+    is refuted by a theorem, so it is neither searched nor recorded, and a
+    found target under the cap is still an exact, exhausted optimum.  When
+    a level aborts the outcome carries the deepest valid prefix found
+    anywhere as witness and exhausted=False.
     """
-    cap = upper_bound_k(f, z, s).value
-    if z == f - 2 and f >= 3 and s >= 1:
-        cap = min(cap, pjd_max_k(f, s).value)
-    asks = [(t, s, t) for t in range(cap, 0, -1)]
-    return _scan(f, z, asks, PdaGrid(f=f, k=0, s=s, cells=()), lambda g: g.k, cfg)
+    budget = _Budget(cfg or SearchConfig())
+    cap = _max_k_cap(f, z, s, budget.deadline)
+    asks = ((t, s, t) for t in range(cap, 0, -1))
+    return _scan(f, z, asks, PdaGrid(f=f, k=0, s=s, cells=()), lambda g: g.k, budget)
 
 
 def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
@@ -754,23 +807,39 @@ def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
     return PdaGrid(f=f, k=k, s=k * (f - z), cells=tuple(cells))
 
 
+def _min_s_floor(k: int, f: int, z: int) -> int:
+    """The least S that no theorem of bounds refutes for K >= 1 columns:
+    the recursion bound, at Z = F-2 raised to the least S whose pjd_max_k
+    reaches K (pjd_max_k never falls as S grows).  Never above K(F-Z),
+    where the trivial grid lives."""
+    s = recursive_lower_bound_s(k, f, z).value
+    if z == f - 2 and f >= 3:
+        while pjd_max_k(f, s).value < k:
+            s += 1
+    return s
+
+
 def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Exact minimum S for which a (K, F, Z, S) grid exists: scan S upward
     from the certified floor, asking feasibility of K at each level.
 
-    The floor is the recursion bound, which is never below the term-sum
-    bound.  Exact when every scanned level exhausts; when a level aborts
-    the witness is the trivial grid with all-distinct symbols
-    (S = K(F-Z)) and exhausted=False.
+    The floor (_min_s_floor) is the greater of the recursion bound, which
+    is never below the term-sum bound, and at Z = F-2 the least S that the
+    row-population refutation lets hold K columns.  Every S below it is
+    refuted by a theorem, so it is neither searched nor recorded.  Exact
+    when every scanned level exhausts; when a level aborts the witness is
+    the trivial grid with all-distinct symbols (S = K(F-Z)) and
+    exhausted=False.
     """
     if f < 1 or not 0 <= z < f:
         raise PdaUsageError("need F >= 1 and Z in [0, F)")
     if k < 0:
         raise PdaUsageError("K must be nonnegative")
     # K = 0 needs no symbol: the empty scan returns the empty grid, exact.
-    floor_s = recursive_lower_bound_s(k, f, z).value if k else 1
-    asks = [(s, s, k) for s in range(floor_s, k * (f - z) + 1)]
-    return _scan(f, z, asks, _trivial_grid(k, f, z), lambda g: g.s, cfg)
+    budget = _Budget(cfg or SearchConfig())
+    floor_s = _min_s_floor(k, f, z) if k else 1
+    asks = ((s, s, k) for s in range(floor_s, k * (f - z) + 1))
+    return _scan(f, z, asks, _trivial_grid(k, f, z), lambda g: g.s, budget)
 
 
 # ---------------------------------------------------------------------------

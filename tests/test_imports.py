@@ -10,6 +10,7 @@ layers each `pda` subcommand runs are pinned here.
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -140,6 +141,49 @@ def test_a_grid_pickled_here_unpickles_in_a_fresh_process():
         print(json.dumps([type(g).__module__, g.f, g.k, g.s, list(g.cells)]))
     """, stdin=pickle.dumps(g)))
     assert got == ["pdakit.core", g.f, g.k, g.s, list(g.cells)]
+
+
+@pytest.mark.parametrize("fault", ['raise RuntimeError("injected")', "def broken(:"])
+def test_a_layer_whose_run_raises_stays_lazy(tmp_path, fault):
+    # A copy of the package whose bounds layer fails part way through its
+    # run (or does not compile): every later use, direct or through a
+    # layer that imports it, raises the layer's own error again, never an
+    # AttributeError or ImportError from a half-run module.
+    pkg = tmp_path / "pdakit"
+    shutil.copytree(Path(pk.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    bounds = pkg / "bounds.py"
+    anchor = "from .core import PdaGrid, PdaUsageError, verify\n"
+    source = bounds.read_text()
+    assert anchor in source
+    bounds.write_text(source.replace(anchor, anchor + fault + "\n"))
+    code = textwrap.dedent("""
+        import json, sys, types
+        import pdakit
+        uses = [
+            "pdakit.upper_bound_k", "pdakit.upper_bound_k", "pdakit.bounds.ceil_div",
+            "pdakit.max_k", "pdakit.search.min_s", "pdakit.max_k",
+            "__import__('pdakit.bounds', fromlist=['ceil_div']).ceil_div",
+        ]
+        errors = []
+        for use in uses:
+            try:
+                eval(use)
+                errors.append(None)
+            except Exception as exc:
+                errors.append(type(exc).__name__)
+        print(json.dumps({
+            "errors": errors,
+            "core": pdakit.verify(pdakit.PdaGrid(f=1, k=1, s=1, cells=(0,))).valid,
+            "ran": [n for n in ("bounds", "search") if type(sys.modules["pdakit." + n]) is types.ModuleType],
+        }))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=120, cwd=tmp_path
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    error = "RuntimeError" if "raise" in fault else "SyntaxError"
+    assert last_json(out.stdout.decode()) == {"errors": [error] * 7, "core": True, "ran": []}
 
 
 # ---------------------------------------------------------------------------

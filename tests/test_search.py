@@ -153,18 +153,21 @@ class TestMaxK:
         assert a.nodes_visited == b.nodes_visited
 
     def test_bound_prunes_do_not_change_results(self):
-        # max_k scans down from upper_bound_k, capped by pjd_max_k at
-        # Z = F-2, and min_s scans up from recursive_lower_bound_s.  Every
-        # golden optimum lies inside those bounds, so they prune only work.
+        # max_k scans down from _max_k_cap, which is at most upper_bound_k
+        # and, at Z = F-2, pjd_max_k; min_s scans up from _min_s_floor,
+        # which is at least recursive_lower_bound_s.  Every golden optimum
+        # lies inside those bounds, so they prune only work.
         table = json.loads((GOLDEN / "search_optima.json").read_text())
         assert len(table["cells"]) == 112
         for f, z, s, k in table["cells"]:
-            assert pk.upper_bound_k(f, z, s).value >= k, (f, z, s)
+            cap = search._max_k_cap(f, z, s, math.inf)
+            assert k <= cap <= pk.upper_bound_k(f, z, s).value, (f, z, s)
             if z == f - 2 and f >= 3:
-                assert pk.pjd_max_k(f, s).value >= k, (f, z, s)
+                assert cap <= pk.pjd_max_k(f, s).value, (f, z, s)
             if k >= 1:
-                assert pk.lower_bound_s(k, f, z).value <= s, (f, z, s)
-                assert pk.recursive_lower_bound_s(k, f, z).value <= s, (f, z, s)
+                floor = search._min_s_floor(k, f, z)
+                assert pk.lower_bound_s(k, f, z).value <= floor <= s, (f, z, s)
+                assert pk.recursive_lower_bound_s(k, f, z).value <= floor, (f, z, s)
 
     def test_budget_abort_is_honest(self):
         out = pk.max_k(4, 2, 7, quick(node_budget=10))
@@ -228,6 +231,81 @@ class TestMaxK:
             pk.max_k(4, 2, -1)
 
 
+class TestCapAndFloor:
+    """The first level each search asks, checked against every grid the
+    package builds, without running a search: a grid with K columns at
+    (F, Z, S) must lie under max_k's cap and above min_s's floor."""
+
+    @staticmethod
+    def grids():
+        for f in range(1, 11):
+            for z in range(f):
+                yield pk.mn_pda(f, z)
+        for f in range(3, 9):
+            for s in range(1, 21):
+                yield pk.optimal_fz2(f, s)
+
+    def test_every_built_grid_is_inside_the_cap_and_the_floor(self):
+        checked = 0
+        for base in self.grids():
+            for m in (1, 2, 3):
+                g = pk.replicate(base, m)
+                p = g.params()
+                assert search._max_k_cap(p.f, p.z, p.s, math.inf) >= p.k, p
+                if p.k >= 1:
+                    assert search._min_s_floor(p.k, p.f, p.z) <= p.s, p
+                checked += 1
+        assert checked == 3 * (55 + 120)
+
+    def test_the_cap_is_below_the_counting_bound(self):
+        # (5, 2, 8): the counting bound allows 8, the recursion bound on S
+        # refutes 8 and 7 (it needs S >= 9), so the search starts at 6.
+        assert pk.upper_bound_k(5, 2, 8).value == 8
+        assert pk.recursive_lower_bound_s(7, 5, 2).value == 9
+        assert pk.recursive_lower_bound_s(6, 5, 2).value <= 8
+        assert search._max_k_cap(5, 2, 8, math.inf) == 6
+        # A Z = F-2 cell of the paper's open list: pjd allows 37 at (8, 11).
+        assert pk.pjd_max_k(8, 11).value == 37
+        assert search._max_k_cap(8, 6, 11, math.inf) == 36
+        assert search._max_k_cap(4, 2, 0, math.inf) == 0
+
+    def test_the_cap_is_the_recursion_bounds_cap(self):
+        # The cap tests each K at S itself; stepping down past every K with
+        # recursive_lower_bound_s(K) > S gives the same cap on every cell.
+        def stepped(f, z, s):
+            cap = pk.upper_bound_k(f, z, s).value
+            if z == f - 2 and f >= 3 and s >= 1:
+                cap = min(cap, pk.pjd_max_k(f, s).value)
+            while cap and pk.recursive_lower_bound_s(cap, f, z).value > s:
+                cap -= 1
+            return cap
+
+        cells = [(f, z, s) for f in range(1, 13) for z in range(f) for s in range(61)]
+        assert len(cells) == 4758
+        for f, z, s in cells:
+            assert search._max_k_cap(f, z, s, math.inf) == stepped(f, z, s), (f, z, s)
+
+    def test_the_budget_binds_while_the_cap_is_stepped(self):
+        # At (3000, 1500, 3000) the cap steps from 3,002 down to 1,154, which
+        # takes about 1 s.  The steps stop at the deadline; the cap reached
+        # is still sound, and its level aborts at once.
+        start = time.perf_counter()
+        out = pk.max_k(3000, 1500, 3000, SearchConfig(time_budget=0.3))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        assert not out.exhausted
+        assert [(lv.code, lv.nodes) for lv in out.levels] == [("abort", 0)]
+        assert out.optimum == out.witness.k == 0
+
+    def test_the_floor_inverts_pjd(self):
+        # (10, 4, 2): the recursion bound allows S = 7, but pjd_max_k(4, 7)
+        # is 9 < 10, and pjd_max_k(4, 8) = 12 >= 10.
+        assert pk.recursive_lower_bound_s(10, 4, 2).value == 7
+        assert search._min_s_floor(10, 4, 2) == 8
+        # Off the Z = F-2 family the floor is the recursion bound.
+        assert search._min_s_floor(8, 5, 2) == pk.recursive_lower_bound_s(8, 5, 2).value
+
+
 class TestMinS:
     def test_hand_optima(self):
         out = pk.min_s(6, 4, 2, quick())
@@ -275,20 +353,19 @@ class TestMinS:
 
 class TestLevels:
     def test_max_k_records_each_scanned_target(self):
-        out = pk.max_k(5, 2, 8, quick())
-        assert [lv.target for lv in out.levels] == [8, 7, 6]
-        assert [lv.code for lv in out.levels] == ["exhausted", "exhausted", "found"]
+        out = pk.max_k(6, 2, 11, quick())
+        assert [lv.target for lv in out.levels] == [7, 6]
+        assert [lv.code for lv in out.levels] == ["exhausted", "found"]
         assert sum(lv.nodes for lv in out.levels) == out.nodes_visited
-        # Deepest prefix the pruned search reached: the K = 8 level no longer
-        # walks the dead branch that got to depth 6.
-        assert [lv.deepest for lv in out.levels] == [5, 6, 6]
+        # Deepest prefix the pruned search reached on the refuted level.
+        assert [lv.deepest for lv in out.levels] == [5, 6]
         for lv in out.levels:
             assert lv.elapsed_s >= 0
 
     def test_min_s_records_each_scanned_s(self):
-        out = pk.min_s(10, 4, 2, quick())
+        out = pk.min_s(6, 5, 2, quick())
         assert [lv.target for lv in out.levels] == [7, 8]
-        assert out.nodes_visited == 527
+        assert out.nodes_visited == 2426
         assert out.levels[-1].target == out.optimum
         assert out.levels[-1].code == "found"
         assert all(lv.code == "exhausted" for lv in out.levels[:-1])
@@ -301,14 +378,14 @@ class TestLevels:
         # tree (ordering, symmetry breaking, pruning) shows up here even
         # when every optimum stays the same.
         cases = [
-            (pk.max_k(5, 2, 8, quick()), [(8, 69), (7, 2474), (6, 1986)]),
-            (pk.max_k(5, 2, 6, quick()), [(6, 8), (5, 118), (4, 5)]),
-            (pk.max_k(6, 3, 7, quick()), [(9, 111), (8, 16214), (7, 2950)]),
-            (pk.max_k(6, 2, 11, quick()), [(8, 144), (7, 12120), (6, 4180)]),
+            (pk.max_k(5, 2, 8, quick()), [(6, 1986)]),
+            (pk.max_k(5, 2, 6, quick()), [(4, 5)]),
+            (pk.max_k(6, 3, 7, quick()), [(7, 2950)]),
+            (pk.max_k(6, 2, 11, quick()), [(7, 12120), (6, 4180)]),
             # Z = F-2: the board path, one node per placed hole subset.
-            (pk.max_k(4, 2, 5, quick()), [(7, 44), (6, 18)]),
+            (pk.max_k(4, 2, 5, quick()), [(6, 18)]),
             (pk.min_s(10, 5, 3, quick()), [(5, 14)]),
-            (pk.max_k(5, 3, 7, quick()), [(13, 218), (12, 207)]),
+            (pk.max_k(5, 3, 7, quick()), [(12, 207)]),
         ]
         for out, expected in cases:
             assert [(lv.target, lv.nodes) for lv in out.levels] == expected
@@ -350,14 +427,16 @@ class TestLevels:
         assert pk.min_s(0, 5, 2, quick()).levels == ()
 
     def test_min_s_abort_keeps_the_trivial_witness(self):
-        # S = 7 is the recursion floor; the budget runs out at S = 8, so the
-        # bound is K(F-Z) = 20, witnessed by the all-distinct grid: the
+        # S = 7 is the recursion floor, but pjd_max_k(4, 7) = 9 < 10 refutes
+        # it, so the scan starts at S = 8.  The budget runs out there, so
+        # the bound is K(F-Z) = 20, witnessed by the all-distinct grid: the
         # aborted level's deepest prefix has 9 columns, not 10.
         out = pk.min_s(10, 4, 2, quick(node_budget=300))
         assert pk.recursive_lower_bound_s(10, 4, 2).value == 7
+        assert pk.pjd_max_k(4, 7).value == 9
         got = [(lv.target, lv.code, lv.nodes) for lv in out.levels]
-        assert got == [(7, "exhausted", 96), (8, "abort", 204)]
-        assert [lv.deepest for lv in out.levels] == [7, 9]
+        assert got == [(8, "abort", 300)]
+        assert [lv.deepest for lv in out.levels] == [9]
         assert not out.exhausted
         assert out.optimum == 20
         assert out.witness == search._trivial_grid(10, 4, 2)
@@ -425,13 +504,15 @@ class TestColumnPath:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            out = pk.max_k(24, 12, 3, SearchConfig(node_budget=2))
+            out = pk.max_k(24, 12, 24, SearchConfig(node_budget=2))
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 4 << 20, peak
+        assert math.comb(24, 12) == 2_704_156
+        assert search._max_k_cap(24, 12, 24, math.inf) >= 3  # searched, not refuted
         assert not out.exhausted
         assert out.nodes_visited == 2
         # The star-set memo is cleared when full; one cleared at every new
@@ -453,6 +534,19 @@ class TestColumnPath:
         assert elapsed < 1.0, elapsed
         assert not out.exhausted
         assert pk.verify(out.witness, expected_z=3).valid
+
+    def test_time_budget_binds_inside_one_column(self):
+        # The cap sends (24, 12, 12) straight to K = 2, where some second
+        # columns try 11! partial assignments before they die, all inside
+        # one node: the deadline is also read between cell steps.
+        start = time.perf_counter()
+        out = pk.max_k(24, 12, 12, SearchConfig(time_budget=1.0))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, elapsed
+        assert [(lv.target, lv.code, lv.nodes) for lv in out.levels] == [(2, "abort", 2)]
+        assert not out.exhausted
+        assert out.optimum == out.witness.k == 1
+        assert pk.verify(out.witness, expected_z=12).valid
 
 
 class TestBoardPath:
@@ -513,6 +607,28 @@ class TestBoardPath:
             assert out.witness.k == out.optimum
             assert pk.verify(out.witness, expected_z=z).valid
         assert pk.max_k(40, 38, 2, SearchConfig(node_budget=5)).nodes_visited == 5
+
+    def test_no_setup_in_the_symbol_count(self):
+        # The levels are generated and each symbol's state is made when the
+        # search first places it, so a million symbols cost nothing before
+        # the first node (the search itself stops at the recursion limit).
+        cfg = SearchConfig(time_budget=0.5, node_budget=1000)
+        start = time.perf_counter()
+        out = pk.max_k(4, 2, 10**6, cfg)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.7, elapsed
+        assert out.nodes_visited >= 1
+        assert not out.exhausted
+        assert pk.verify(out.witness, expected_z=2).valid
+        tracemalloc.start()
+        try:
+            pk.max_k(4, 2, 10**6, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each depth keeps its matching, so the peak is in the depth
+        # reached, not in S.
+        assert peak < 16 << 20, peak
 
     def test_abort_witness_is_the_largest_matching(self):
         # The largest matching seen counts prefixes too, not only whole
