@@ -24,7 +24,7 @@ import itertools
 import math
 
 from .bounds import split_mf_r
-from .core import PdaGrid, PdaUsageError, concat, replicate, symbol_dual
+from .core import PdaGrid, PdaUsageError, _grid, concat, replicate, symbol_dual
 
 # ---------------------------------------------------------------------------
 # Subset numbering (colexicographic throughout the package)
@@ -52,22 +52,22 @@ def mn_pda(f: int, z: int) -> PdaGrid:
     non-star row i is the colex rank of the (Z+1)-subset B + {i}.  Property
     2 holds because two cells share a symbol only if their subsets union to
     the same (Z+1)-set, which forces the star corners.
+
+    A subset is held as its bitmask, and colex order is the order of the
+    masks as integers, so the columns are the sorted Z-subset masks and a
+    cell is one lookup in a table of the (Z+1)-subset masks' ranks.
     """
     if f < 1:
         raise PdaUsageError("F must be at least 1")
     if not 0 <= z <= f:
         raise PdaUsageError(f"Z must be in [0, {f}]")
-    cols = subsets_colex(f, z)
-    k = len(cols)
-    s = math.comb(f, z + 1)
+    bits = [1 << i for i in range(f)]
+    cols, syms = (sorted(map(sum, itertools.combinations(bits, t))) for t in (z, z + 1))
+    rank = {mask: r for r, mask in enumerate(syms)}
     cells: list[int | None] = []
-    for i in range(f):
-        for b in cols:
-            if i in b:
-                cells.append(None)
-            else:
-                cells.append(colex_rank(tuple(sorted(b + (i,)))))
-    return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+    for bit in bits:
+        cells += [None if b & bit else rank[b | bit] for b in cols]
+    return _grid(f, len(cols), len(syms), tuple(cells))
 
 
 def f2_base(s: int) -> PdaGrid:
@@ -77,7 +77,7 @@ def f2_base(s: int) -> PdaGrid:
         raise PdaUsageError("S must be nonnegative")
     k = s // 2
     cells = tuple(2 * j for j in range(k)) + tuple(2 * j + 1 for j in range(k))
-    return PdaGrid(f=2, k=k, s=s, cells=cells)
+    return _grid(2, k, s, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def optimal_fz2(f: int, s: int) -> PdaGrid:
     if r == f:
         return replicate(block, m + 1)
     if r == 1:
-        tail = PdaGrid(f=f, k=0, s=1, cells=())
+        tail = _grid(f, 0, 1, ())
     else:
         tail = symbol_dual(f2_base(f) if r == 2 else optimal_fz2(r, f))
     return concat(replicate(block, m), tail)

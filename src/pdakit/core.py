@@ -61,6 +61,12 @@ class PdaGrid:
     satisfies the PDA properties is a separate question answered by
     verify().  s is the declared symbol-space bound and may exceed the
     number of symbols actually used.
+
+    The public constructor (and from_rows) checks every cell.  The library's
+    own builders (the transforms, the constructions, the search's witnesses)
+    and the two parsers, which check each token as they read it, build
+    through _grid instead: the same shape checks, without the repeated scan
+    of cells already known to lie in [0, s).
     """
 
     f: int
@@ -69,6 +75,14 @@ class PdaGrid:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
+        self._check_shape()
+        for c in self.cells:
+            if c is None:
+                continue
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.s:
+                raise PdaUsageError(f"cell value {c!r} outside [0, {self.s})")
+
+    def _check_shape(self) -> None:
         if self.f < 1:
             raise PdaUsageError("grid needs at least one row")
         if self.k < 0 or self.s < 0:
@@ -77,11 +91,6 @@ class PdaGrid:
             raise PdaUsageError(
                 f"cell count {len(self.cells)} != F*K = {self.f * self.k}"
             )
-        for c in self.cells:
-            if c is None:
-                continue
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.s:
-                raise PdaUsageError(f"cell value {c!r} outside [0, {self.s})")
 
     # Derived values are computed on first use and kept: grids key
     # lru_caches and are read by every layer, while building a grid stays
@@ -159,16 +168,28 @@ class PdaGrid:
         """Stars per column, left to right."""
         return list(self._column_stars)
 
-    def params(self) -> PdaParams:
+    @property
+    def _regular_z(self) -> int | None:
+        """The common column star count, None when columns disagree, 0 for
+        K = 0; it reads the star counts only, never the symbol census."""
         counts = self._column_stars
         if self.k == 0:
-            z: int | None = 0
-        elif counts.count(counts[0]) == self.k:
-            z = counts[0]
-        else:
-            z = None
+            return 0
+        return counts[0] if counts.count(counts[0]) == self.k else None
+
+    def params(self) -> PdaParams:
         d = max(map(len, self._symbol_cells.values()), default=0)
-        return PdaParams(k=self.k, f=self.f, s=self.s, z=z, d=d)
+        return PdaParams(k=self.k, f=self.f, s=self.s, z=self._regular_z, d=d)
+
+
+def _grid(f: int, k: int, s: int, cells: tuple[Cell, ...]) -> PdaGrid:
+    """A grid whose cells are known to be stars or ints in [0, s), because
+    they come from a checked grid or a construction: the shape checks run,
+    the per-cell scan of the public constructor does not."""
+    grid = object.__new__(PdaGrid)
+    grid.__dict__.update(f=f, k=k, s=s, cells=cells)
+    grid._check_shape()
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +430,7 @@ def permute(
         for j in range(k):
             c = grid.cells[i * k + j]
             cells[rp[i] * k + cp[j]] = sp[c] if c is not None else None
-    return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+    return _grid(f, k, s, tuple(cells))
 
 
 def transpose(grid: PdaGrid) -> PdaGrid:
@@ -419,7 +440,7 @@ def transpose(grid: PdaGrid) -> PdaGrid:
         raise PdaUsageError("cannot transpose a grid with no columns")
     f, k = grid.f, grid.k
     cells = tuple(grid.cells[i * k + j] for j in range(k) for i in range(f))
-    return PdaGrid(f=k, k=f, s=grid.s, cells=cells)
+    return _grid(k, f, grid.s, cells)
 
 
 def symbol_dual(grid: PdaGrid) -> PdaGrid:
@@ -454,7 +475,7 @@ def symbol_dual(grid: PdaGrid) -> PdaGrid:
             yield itertools.repeat(None, k - end)
 
     cells = tuple(_Sized(itertools.chain.from_iterable(pieces()), s * k))
-    return PdaGrid(f=s, k=k, s=f, cells=cells)
+    return _grid(s, k, f, cells)
 
 
 class _Sized:
@@ -539,7 +560,7 @@ def concat(g1: PdaGrid, g2: PdaGrid) -> PdaGrid:
             c + shift if c is not None else None
             for c in g2.cells[i * k2 : (i + 1) * k2]
         )
-    return PdaGrid(f=f, k=k1 + k2, s=g1.s + g2.s, cells=tuple(cells))
+    return _grid(f, k1 + k2, g1.s + g2.s, tuple(cells))
 
 
 def replicate(grid: PdaGrid, m: int) -> PdaGrid:
@@ -556,7 +577,7 @@ def replicate(grid: PdaGrid, m: int) -> PdaGrid:
         for t in range(m)
         for c in grid.cells[i * k : (i + 1) * k]
     )
-    return PdaGrid(f=grid.f, k=m * k, s=m * s, cells=cells)
+    return _grid(grid.f, m * k, m * s, cells)
 
 
 def subgrid(
@@ -594,7 +615,7 @@ def subgrid(
         s = len(survivors)
     else:
         s = grid.s
-    return PdaGrid(f=len(rows), k=len(cols), s=s, cells=tuple(picked))
+    return _grid(len(rows), len(cols), s, tuple(picked))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +850,7 @@ def _canonical_labeling(
             best = (cert, part[0])
     cert, order = best or (certificate(lab)[0], lab)
     order = sorted(order + [v for v in range(n) if not adj[v]], key=kind)
-    return PdaGrid(f=f, k=k, s=s, cells=tuple(None if c < 0 else c for c in cert)), order
+    return _grid(f, k, s, tuple(None if c < 0 else c for c in cert)), order
 
 
 def canonical_form(grid: PdaGrid) -> PdaGrid:

@@ -24,7 +24,7 @@ import json
 import re
 from typing import Any
 
-from .core import Cell, PdaGrid
+from .core import Cell, PdaGrid, _grid
 
 FORMAT_HEADER = "#PDA v1"
 
@@ -37,7 +37,7 @@ class PdaFormatError(ValueError):
 
 def render(grid: PdaGrid) -> str:
     """Serialize a grid to `.pda` text (trailing newline included)."""
-    z = grid.params().z
+    z = grid._regular_z
     lines = [
         FORMAT_HEADER,
         f"K={grid.k} F={grid.f} Z={z if z is not None else '-'} S={grid.s}",
@@ -68,7 +68,7 @@ def parse(text: str) -> PdaGrid:
         # Row lines are empty and may be dropped entirely by text tooling.
         if any(body):
             raise PdaFormatError("K=0 grid must have no row tokens")
-        return PdaGrid(f=f, k=0, s=s, cells=())
+        return _grid(f, 0, s, ())
     if len(body) != f:
         raise PdaFormatError(f"expected {f} row lines, found {len(body)}")
 
@@ -87,7 +87,7 @@ def parse(text: str) -> PdaGrid:
                 cells.append(v)
             else:
                 raise PdaFormatError(f"row {i}: bad token {t!r}")
-    grid = PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+    grid = _grid(f, k, s, tuple(cells))
     if z is not None:
         _check_declared_z(grid, z)
     return grid
@@ -114,7 +114,7 @@ def _check_declared_z(grid: PdaGrid, z: int) -> None:
 
 def render_json(grid: PdaGrid) -> str:
     """Serialize a grid to the one-line JSON mirror."""
-    z = grid.params().z
+    z = grid._regular_z
     obj = {
         "k": grid.k,
         "f": grid.f,
@@ -154,7 +154,7 @@ def parse_json(source: str | dict[str, Any]) -> PdaGrid:
                 cells.append(v)
             else:
                 raise PdaFormatError(f"row {i}: bad entry {v!r}")
-    grid = PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+    grid = _grid(f, k, s, tuple(cells))
     if obj.get("z") is not None:
         _check_declared_z(grid, _json_int(obj, "z"))
     return grid

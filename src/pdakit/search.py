@@ -132,6 +132,7 @@ costs nothing up front.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -145,7 +146,7 @@ from .bounds import (
     split_mf_r,
     upper_bound_k,
 )
-from .core import Cell, PdaGrid, PdaUsageError, verify
+from .core import Cell, PdaGrid, PdaUsageError, _grid, verify
 
 
 @dataclass(frozen=True)
@@ -428,7 +429,7 @@ def _columns_to_grid(f: int, s: int, columns) -> PdaGrid:
     for j, column in enumerate(columns):
         for r, x in column:
             cells[r * k + j] = x
-    return PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+    return _grid(f, k, s, tuple(cells))
 
 
 def _blossom_base(
@@ -722,7 +723,7 @@ def _scan(
     f: int,
     z: int,
     asks: Iterable[tuple[int, int, int]],
-    known: PdaGrid,
+    known: Callable[[], PdaGrid],
     value: Callable[[PdaGrid], int],
     budget: _Budget,
 ) -> SearchOutcome:
@@ -730,12 +731,12 @@ def _scan(
     asks, in order, it asks whether a K-column grid on S symbols exists and
     records the level under target.  A found level ends the scan with its
     grid, an exact optimum.  Otherwise the witness is the grid with the most
-    columns among known (a valid grid at the fallback value) and each
-    level's deepest prefix: exact when every level exhausted, an honest
-    bound when one aborted, which ends the scan.  value reads the optimum
-    off the witness."""
+    columns, the first on ties, among known() (a valid grid at the fallback
+    value, built only then) and each level's deepest prefix: exact when
+    every level exhausted, an honest bound when one aborted, which ends the
+    scan.  value reads the optimum off the witness."""
     feasible = _board_feasible if z == f - 2 else _feasible
-    best, code, levels = known, _EXHAUSTED, []
+    best, code, levels = None, _EXHAUSTED, []
     for target, s, k in asks:
         level_start, before = time.monotonic(), budget.count
         code, grid = feasible(f, z, s, k, budget)
@@ -744,9 +745,14 @@ def _scan(
         if code == _FOUND:
             best = grid
             break
-        best = max(best, grid, key=lambda g: g.k)
+        if best is None or grid.k > best.k:
+            best = grid
         if code == _ABORT:
             break
+    if code != _FOUND:
+        fallback = known()
+        if best is None or fallback.k >= best.k:
+            best = fallback
     return SearchOutcome(
         optimum=value(best),
         witness=best,
@@ -794,17 +800,15 @@ def max_k(f: int, z: int, s: int, cfg: SearchConfig | None = None) -> SearchOutc
     budget = _Budget(cfg or SearchConfig())
     cap = _max_k_cap(f, z, s, budget.deadline)
     asks = ((t, s, t) for t in range(cap, 0, -1))
-    return _scan(f, z, asks, PdaGrid(f=f, k=0, s=s, cells=()), lambda g: g.k, budget)
+    return _scan(f, z, asks, lambda: _grid(f, 0, s, ()), lambda g: g.k, budget)
 
 
 def _trivial_grid(k: int, f: int, z: int) -> PdaGrid:
     """K columns with stars on rows [0, Z) and globally distinct symbols
     below: always a valid Z-regular grid with S = K(F-Z)."""
-    cells: list[Cell] = [None] * (f * k)
-    for j in range(k):
-        for i, r in enumerate(range(z, f)):
-            cells[r * k + j] = j * (f - z) + i
-    return PdaGrid(f=f, k=k, s=k * (f - z), cells=tuple(cells))
+    n = f - z  # row z + i holds j*n + i in column j
+    below = itertools.chain.from_iterable(range(i, k * n, n) for i in range(n))
+    return _grid(f, k, k * n, (None,) * (z * k) + tuple(below))
 
 
 def _min_s_floor(k: int, f: int, z: int) -> int:
@@ -839,7 +843,7 @@ def min_s(k: int, f: int, z: int, cfg: SearchConfig | None = None) -> SearchOutc
     budget = _Budget(cfg or SearchConfig())
     floor_s = _min_s_floor(k, f, z) if k else 1
     asks = ((s, s, k) for s in range(floor_s, k * (f - z) + 1))
-    return _scan(f, z, asks, _trivial_grid(k, f, z), lambda g: g.s, budget)
+    return _scan(f, z, asks, lambda: _trivial_grid(k, f, z), lambda g: g.s, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -932,4 +936,4 @@ def _remap_columns(
         for j in cols:
             c = grid.cell(i, j)
             cells.append(sym_map[c] if c is not None else None)
-    return PdaGrid(f=grid.f, k=len(cols), s=s, cells=tuple(cells))
+    return _grid(grid.f, len(cols), s, tuple(cells))

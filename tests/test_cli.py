@@ -167,6 +167,12 @@ class TestVerify:
             assert "error:" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_zero_row_header_exits_two(self):
+        proc = run_cli("verify", "-", stdin="#PDA v1\nK=3 F=0 Z=0 S=1\n")
+        assert proc.returncode == 2
+        assert "grid needs at least one row" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_flag_exits_two(self):
         proc = run_cli("verify", "--frobnicate", "-")
         assert proc.returncode == 2

@@ -58,6 +58,22 @@ class TestMnPda:
         nostar = pk.mn_pda(3, 0)
         assert nostar.params() == pk.PdaParams(k=1, f=3, s=3, z=0, d=1)
 
+    def test_cells_match_the_per_cell_colex_formula(self):
+        # The rank table gives the cell at (i, B) as the colex rank of the
+        # sorted (Z+1)-subset B + {i}, down to Z = F (one all-star column,
+        # S = 0).
+        for f in range(1, 10):
+            for z in range(0, f + 1):
+                cols = pk.subsets_colex(f, z)
+                want = tuple(
+                    STAR if i in b else pk.colex_rank(tuple(sorted(b + (i,))))
+                    for i in range(f)
+                    for b in cols
+                )
+                g = pk.mn_pda(f, z)
+                assert (g.f, g.k, g.s) == (f, len(cols), math.comb(f, z + 1)), (f, z)
+                assert g.cells == want, (f, z)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(pk.PdaUsageError):
             pk.mn_pda(0, 0)

@@ -48,18 +48,20 @@ class TestPdaGrid:
         assert g.star_counts() == [1, 1, 0]
 
     def test_constructor_rejects_bad_cells(self):
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=1, k=1, s=1, cells=(1,))
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=1, k=1, s=1, cells=(-1,))
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=1, k=1, s=1, cells=(True,))
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=1, k=2, s=1, cells=(0,))
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=0, k=0, s=0, cells=())
-        with pytest.raises(pk.PdaUsageError):
-            pk.PdaGrid(f=1, k=-1, s=0, cells=())
+        cases = [
+            (dict(f=1, k=1, s=1, cells=(1,)), "cell value 1 outside [0, 1)"),
+            (dict(f=1, k=1, s=1, cells=(-1,)), "cell value -1 outside [0, 1)"),
+            (dict(f=1, k=1, s=1, cells=(True,)), "cell value True outside [0, 1)"),
+            (dict(f=1, k=1, s=1, cells=("0",)), "cell value '0' outside [0, 1)"),
+            (dict(f=1, k=2, s=1, cells=(0,)), "cell count 1 != F*K = 2"),
+            (dict(f=0, k=0, s=0, cells=()), "grid needs at least one row"),
+            (dict(f=1, k=-1, s=0, cells=()), "K and S must be nonnegative"),
+            (dict(f=1, k=0, s=-1, cells=()), "K and S must be nonnegative"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(pk.PdaUsageError) as err:
+                pk.PdaGrid(**kwargs)
+            assert str(err.value) == message
 
     def test_from_rows_rejects_ragged(self):
         with pytest.raises(pk.PdaUsageError):
@@ -115,6 +117,50 @@ class TestPdaGrid:
         assert len(rep.missing_rows) == 6000
         assert len({id(rows) for rows in rep.missing_rows.values()}) == 1
         assert rep.missing_rows[5999] == frozenset(range(6000))
+
+
+class TestBuilders:
+    """The library builds grids without the public constructor's per-cell
+    scan; every grid it builds must pass that scan all the same."""
+
+    @staticmethod
+    def assert_public_accepts(g, name=""):
+        public = pk.PdaGrid(f=g.f, k=g.k, s=g.s, cells=g.cells)
+        assert public == g and hash(public) == hash(g), name
+
+    def test_every_builder_output_passes_the_public_check(self, corpus):
+        for name, g in corpus:
+            outputs = [g, pk.replicate(g, 2), pk.concat(g, g), pk.canonical_form(g)]
+            outputs.append(
+                pk.permute(
+                    g,
+                    row_perm=list(reversed(range(g.f))),
+                    col_perm=list(reversed(range(g.k))),
+                    sym_perm=list(reversed(range(g.s))),
+                )
+            )
+            if g.s >= 1:
+                outputs.append(pk.symbol_dual(g))
+            if g.k >= 1:
+                outputs.append(pk.transpose(g))
+            rows, cols = list(range(0, g.f, 2)), list(range(1, g.k, 2))
+            outputs.append(pk.subgrid(g, rows, cols))
+            outputs.append(pk.subgrid(g, rows, cols, compact_symbols=True))
+            for out in outputs:
+                self.assert_public_accepts(out, name)
+
+    def test_decompose_parts_pass_the_public_check(self):
+        for s in (31, 38):
+            parts = pk.decompose(pk.optimal_fz2(7, s))
+            assert parts is not None
+            for part in parts:
+                self.assert_public_accepts(part)
+
+    def test_shape_checks_still_run(self):
+        with pytest.raises(pk.PdaUsageError, match="grid needs at least one row"):
+            pk.parse("#PDA v1\nK=3 F=0 Z=0 S=1\n")
+        with pytest.raises(pk.PdaUsageError, match="grid needs at least one row"):
+            pk.parse_json('{"k": 3, "f": 0, "z": 0, "s": 1, "rows": []}')
 
 
 class TestVerify:

@@ -630,6 +630,17 @@ class TestBoardPath:
         # reached, not in S.
         assert peak < 16 << 20, peak
 
+    def test_min_s_spends_its_budget_on_levels(self):
+        # The trivial witness (K(F-Z) cells) is built only once no level
+        # is found, so the first level gets the budget.
+        cfg = SearchConfig(time_budget=0.5, node_budget=1000)
+        out = pk.min_s(10**6, 4, 2, cfg)
+        assert out.nodes_visited >= 1
+        assert out.levels[0].nodes == out.nodes_visited
+        assert not out.exhausted
+        assert out.optimum == 2 * 10**6
+        assert (out.witness.f, out.witness.k, out.witness.s) == (4, 10**6, 2 * 10**6)
+
     def test_abort_witness_is_the_largest_matching(self):
         # The largest matching seen counts prefixes too, not only whole
         # boards: any matching of placed symbols is a valid grid.
