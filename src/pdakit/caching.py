@@ -21,15 +21,12 @@ plan's programs; `decode` builds the same kind of program from the
 placement it is given, so a tampered placement still fails term by term.
 
 What is kept, and for how long:
-- per grid, the plan, for the last four grids;
+- per grid, the plan, with its (file, subfile) term tuples, made per file
+  on first use and shared by the grid's placements and sessions, for the
+  last four grids;
 - per (grid, n_files), the placement, one frozenset of (file, subfile)
   terms per user, for the last pair only; `place` returns a fresh dict
   over it, so a caller that changes that dict cannot change the next;
-- per F, the (file, subfile) term tuples, made per file on first use and
-  shared by placements and sessions, for the last F only;
-- per session, each plan cell's term, its content and each symbol's
-  payload, for the last (grid, instance) only, which that session's
-  `deliver` and `decode` share;
 - per (seed, file, subfile, size), the content, for the last 256.
 
 Decode verdicts do not depend on the demands.  `deliver` builds each
@@ -161,6 +158,20 @@ def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
     return int.from_bytes(out[:size], "big")
 
 
+class _Terms(dict):
+    """file -> the (file, subfile) term of each of F rows, made on a
+    file's first use, so a file no placement or session reads costs
+    nothing."""
+
+    def __init__(self, f: int) -> None:
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, file: int) -> tuple[tuple[int, int], ...]:
+        terms = self[file] = tuple([(file, j) for j in range(self.f)])
+        return terms
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The demand-independent structure of a grid's scheme.
@@ -172,7 +183,7 @@ class _Plan:
     (row, symbol, foreign) of user k in row order, one per symbol cell,
     where foreign holds the indices in `cells` of the other cells of its
     symbol.  programs[k]: user k's program under the placement `place`
-    makes.
+    makes.  terms: the grid's term table, which grows as files are read.
     """
 
     cells: tuple[tuple[int, int], ...]
@@ -180,6 +191,7 @@ class _Plan:
     star_rows: tuple[tuple[int, ...], ...]
     symbol_cells: tuple[tuple[Step, ...], ...]
     programs: tuple[Program, ...]
+    terms: _Terms
 
 
 @lru_cache(maxsize=_PLAN_CACHE_ENTRIES)
@@ -213,6 +225,7 @@ def _plan(grid: PdaGrid) -> _Plan:
             _program(user, lambda i, stars=frozenset(rows): row_of[i] in stars)
             for user, rows in zip(steps, star_rows)
         ),
+        terms=_Terms(grid.f),
     )
 
 
@@ -225,50 +238,27 @@ def _program(steps: tuple[Step, ...], cached: Callable[[int], bool]) -> Program:
     return steps, None
 
 
-class _Terms(dict):
-    """file -> the (file, subfile) term of each of F rows, made on a
-    file's first use, so a file no placement or session reads costs
-    nothing.  Placements and sessions of the same F share these tuples."""
-
-    def __init__(self, f: int) -> None:
-        super().__init__()
-        self.f = f
-
-    def __missing__(self, file: int) -> tuple[tuple[int, int], ...]:
-        terms = self[file] = tuple([(file, j) for j in range(self.f)])
-        return terms
-
-
-@lru_cache(maxsize=1)
-def _terms(f: int) -> _Terms:
-    """The term table of the last subfile count F."""
-    return _Terms(f)
-
-
 @lru_cache(maxsize=1)
 def _placement(grid: PdaGrid, n_files: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """Each user's cache: subfile j of every file for each star row j.
     Placement precedes the demands, so it is made once per (grid,
     n_files) and kept for the last such key only."""
-    table = _terms(grid.f)
+    plan = _plan(grid)
     return tuple(
-        frozenset([table[file][j] for file in range(n_files) for j in rows])
-        for rows in _plan(grid).star_rows
+        frozenset([plan.terms[file][j] for file in range(n_files) for j in rows])
+        for rows in plan.star_rows
     )
 
 
-@lru_cache(maxsize=1)
 def _session(
     grid: PdaGrid, instance: CachingInstance
 ) -> tuple[_Plan, list[tuple[int, int]], list[int], dict[int, int]]:
     """The grid's plan, the (file, subfile) term of each plan cell under the
     instance's demands, its content, hashed once per distinct term, and
-    each symbol's payload.  Kept for the last instance only, which the
-    deliver and decode of one session share."""
+    each symbol's payload; made on every call and not kept."""
     plan = _plan(grid)
     seed, size = instance.seed, instance.subfile_size
-    table = _terms(grid.f)
-    rows = [table[file] for file in instance.demands]
+    rows = [plan.terms[file] for file in instance.demands]
     terms = [rows[u][j] for u, j in plan.cells]
     contents = {t: subfile_content(seed, t[0], t[1], size) for t in set(terms)}
     values = [contents[t] for t in terms]
@@ -353,6 +343,12 @@ def deliver(
     subfiles at that symbol's cells, in column order."""
     _check_users(grid, instance)
     plan, terms, _, payloads = _session(grid, instance)
+    return _broadcasts(plan, terms, payloads)
+
+
+def _broadcasts(
+    plan: _Plan, terms: list[tuple[int, int]], payloads: dict[int, int]
+) -> dict[int, Broadcast]:
     return {
         x: Broadcast(x, tuple(terms[start:stop]), payloads[x])
         for x, start, stop in plan.symbols
@@ -414,13 +410,12 @@ def simulate(grid: PdaGrid, instance: CachingInstance) -> CachingTranscript:
     """The full pipeline: place, deliver, decode, measure.  Decoding runs
     the plan's programs, which assume the placement `place` made."""
     placement = place(grid, instance)
-    broadcasts = deliver(grid, instance, placement)
-    plan, _, contents, payloads = _session(grid, instance)
+    plan, terms, contents, payloads = _session(grid, instance)
     failures = _run(plan, plan.programs, contents, payloads)
     failed = {f.user for f in failures}
     return CachingTranscript(
         placement=placement,
-        broadcasts=broadcasts,
+        broadcasts=_broadcasts(plan, terms, payloads),
         decoded=tuple([k not in failed for k in range(grid.k)]),
         rate=rate(grid),
         failures=failures,

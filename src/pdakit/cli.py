@@ -183,17 +183,17 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         elif op == "permute":
             result = core.permute(
                 grid,
-                row_perm=_csv_ints(args.rows) if args.rows else None,
-                col_perm=_csv_ints(args.cols) if args.cols else None,
-                sym_perm=_csv_ints(args.syms) if args.syms else None,
+                row_perm=_csv_ints(args.rows) if args.rows is not None else None,
+                col_perm=_csv_ints(args.cols) if args.cols is not None else None,
+                sym_perm=_csv_ints(args.syms) if args.syms is not None else None,
             )
         elif op == "role":
             result = core.role_permute(
                 grid, rows=args.rows, cols=args.cols, syms=args.syms
             )
         elif op == "subgrid":
-            rows = _csv_ints(args.rows) if args.rows else list(range(grid.f))
-            cols = _csv_ints(args.cols) if args.cols else list(range(grid.k))
+            rows = _csv_ints(args.rows) if args.rows is not None else range(grid.f)
+            cols = _csv_ints(args.cols) if args.cols is not None else range(grid.k)
             result = core.subgrid(grid, rows, cols, compact_symbols=args.compact)
         else:  # replicate
             result = core.replicate(grid, args.m)

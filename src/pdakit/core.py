@@ -26,6 +26,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 # A cell is either a symbol in [0, S) or a star, encoded as None.
@@ -422,15 +423,12 @@ def permute(
     used everywhere else in the package.
     """
     f, k, s = grid.f, grid.k, grid.s
-    rp = _check_perm(row_perm, f, "row") if row_perm is not None else list(range(f))
-    cp = _check_perm(col_perm, k, "column") if col_perm is not None else list(range(k))
-    sp = _check_perm(sym_perm, s, "symbol") if sym_perm is not None else list(range(s))
-    cells: list[Cell] = [None] * (f * k)
-    for i in range(f):
-        for j in range(k):
-            c = grid.cells[i * k + j]
-            cells[rp[i] * k + cp[j]] = sp[c] if c is not None else None
-    return _grid(f, k, s, tuple(cells))
+    rp = _check_perm(row_perm, f, "row") if row_perm is not None else range(f)
+    cp = _check_perm(col_perm, k, "column") if col_perm is not None else range(k)
+    sp = _check_perm(sym_perm, s, "symbol") if sym_perm is not None else None
+    # New row (column) i is the old one that rp (cp) sends to i.
+    rows, cols = sorted(range(f), key=rp.__getitem__), sorted(range(k), key=cp.__getitem__)
+    return _take(grid, rows, cols, sp, s)
 
 
 def transpose(grid: PdaGrid) -> PdaGrid:
@@ -552,15 +550,7 @@ def concat(g1: PdaGrid, g2: PdaGrid) -> PdaGrid:
     z1, z2 = set(g1._column_stars), set(g2._column_stars)
     if len(z1) == len(z2) == 1 and z1 != z2:
         raise PdaUsageError(f"column star counts differ: {z1.pop()} != {z2.pop()}")
-    f, k1, k2, shift = g1.f, g1.k, g2.k, g1.s
-    cells: list[Cell] = []
-    for i in range(f):
-        cells.extend(g1.cells[i * k1 : (i + 1) * k1])
-        cells.extend(
-            c + shift if c is not None else None
-            for c in g2.cells[i * k2 : (i + 1) * k2]
-        )
-    return _grid(f, k1 + k2, g1.s + g2.s, tuple(cells))
+    return _side_by_side(g1.f, [(g1, 0), (g2, g1.s)], g1.s + g2.s)
 
 
 def replicate(grid: PdaGrid, m: int) -> PdaGrid:
@@ -570,14 +560,7 @@ def replicate(grid: PdaGrid, m: int) -> PdaGrid:
     """
     if m < 0:
         raise PdaUsageError("copy count must be nonnegative")
-    k, s = grid.k, grid.s
-    cells = tuple(
-        c + t * s if c is not None else None
-        for i in range(grid.f)
-        for t in range(m)
-        for c in grid.cells[i * k : (i + 1) * k]
-    )
-    return _grid(grid.f, m * k, m * s, cells)
+    return _side_by_side(grid.f, [(grid, t * grid.s) for t in range(m)], m * grid.s)
 
 
 def subgrid(
@@ -607,15 +590,40 @@ def subgrid(
     for j in cols:
         if not 0 <= j < grid.k:
             raise PdaUsageError(f"column index {j} out of range")
-    picked = [grid.cells[i * grid.k + j] for i in rows for j in cols]
-    if compact_symbols:
-        survivors = sorted({c for c in picked if c is not None})
-        remap = {old: new for new, old in enumerate(survivors)}
-        picked = [remap[c] if c is not None else None for c in picked]
-        s = len(survivors)
-    else:
-        s = grid.s
-    return _grid(len(rows), len(cols), s, tuple(picked))
+    picked = _take(grid, rows, cols, None, grid.s)
+    if not compact_symbols:
+        return picked
+    survivors = sorted(set(picked.cells) - {None})
+    compact = dict(zip(survivors, range(len(survivors))))
+    return _take(picked, range(picked.f), range(picked.k), compact, len(survivors))
+
+
+def _take(
+    grid: PdaGrid, rows: Sequence[int], cols: Sequence[int], sym: Mapping | Sequence | None, s: int
+) -> PdaGrid:
+    """The given rows and columns of grid, in the order given, over [0, s),
+    each row cut from the cells as one slice; a symbol x is written sym[x],
+    or kept when sym is None.  Ranges over all rows and all columns take
+    the cells as they are."""
+    k, cells = grid.k, grid.cells
+    if rows != range(grid.f) or cols != range(k):
+        pick = itemgetter(*cols) if len(cols) > 1 else lambda row: tuple([row[j] for j in cols])
+        picked = [pick(cells[i * k : i * k + k]) for i in rows]
+        cells = _Sized(itertools.chain.from_iterable(picked), len(rows) * len(cols))
+    if sym is not None:
+        cells = [sym[c] if c is not None else None for c in cells]
+    return _grid(len(rows), len(cols), s, tuple(cells))
+
+
+def _side_by_side(f: int, parts: Sequence[tuple[PdaGrid, int]], s: int) -> PdaGrid:
+    """F-row grids (grid, shift) placed side by side over [0, s), a symbol
+    x of each written x + shift."""
+    blocks = [
+        (g.k, [c + t if c is not None else None for c in g.cells] if t else g.cells) for g, t in parts
+    ]
+    k = sum(gk for gk, _ in blocks)
+    rows = (cells[i * gk : i * gk + gk] for i in range(f) for gk, cells in blocks)
+    return _grid(f, k, s, tuple(_Sized(itertools.chain.from_iterable(rows), f * k)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +671,10 @@ def _canonical_labeling(
     grid: PdaGrid, known: PdaGrid | None = None
 ) -> tuple[PdaGrid, list[int]]:
     """The canonical grid, and the vertices in their canonical order: rows
-    are vertices 0..F-1, columns F..F+K-1 and symbols F+K..F+K+S-1, and
-    each kind keeps its range, so the vertex at position i of the order
-    becomes row, column or symbol i, offset by kind.
+    are vertices 0..F-1, columns F..F+K-1 and a used symbol x is F+K+x (the
+    labeling numbers the used symbols densely, so S costs nothing), and each
+    kind keeps its range: the vertex at position i becomes row, column or
+    symbol i, offset by kind.
 
     The grid is read as a 3-partite hypergraph: each non-star cell is a
     (row, column, symbol) triple, and a relabeling of the grid is exactly a
@@ -683,8 +692,8 @@ def _canonical_labeling(
     guess tried before each sibling: members shared by the two children's
     colour classes stay put, the rest pair off in the order of the first
     leaf, and the guess is kept when it maps the triples onto themselves.
-    Vertices in no triple (all-star rows and columns, unused symbols) take
-    the last positions of their kind without branching.
+    Vertices in no triple (all-star rows and columns) take the last
+    positions of their kind without branching.
 
     known is the canonical grid of another grid, or None.  A leaf that
     gives exactly known ends the search: known is then a relabeling of
@@ -697,8 +706,9 @@ def _canonical_labeling(
     copy in a replicated grid) costs memory, not Python frames.
     """
     f, k, s = grid.f, grid.k, grid.s
-    col0, sym0, n = f, f + k, f + k + s
-    triples = [(i, col0 + j, sym0 + x) for x, cells in grid._symbol_cells.items() for i, j in cells]
+    syms = sorted(grid._symbol_cells)
+    col0, sym0, n = f, f + k, f + k + len(syms)
+    triples = [(i, col0 + j, sym0 + v) for v, x in enumerate(syms) for i, j in grid._symbol_cells[x]]
     adj: list[list[int]] = [[] for _ in range(n)]  # the other members, once per triple
     through: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for t in triples:
@@ -791,7 +801,7 @@ def _canonical_labeling(
         # Triples away from the moved vertices stay where they are.
         moved = (t for w in gamma for t in through[w])
         cells = grid.cells
-        ok = all(cells[image[r] * k + image[c] - col0] == image[x] - sym0 for r, c, x in moved)
+        ok = all(cells[image[r] * k + image[c] - col0] == syms[image[x] - sym0] for r, c, x in moved)
         return gamma if gamma and ok else None
 
     def certificate(lab: list[int]) -> tuple[tuple[int, ...], list[int]]:
@@ -850,6 +860,7 @@ def _canonical_labeling(
             best = (cert, part[0])
     cert, order = best or (certificate(lab)[0], lab)
     order = sorted(order + [v for v in range(n) if not adj[v]], key=kind)
+    order[sym0:] = [sym0 + syms[v - sym0] for v in order[sym0:]]
     return _grid(f, k, s, tuple(None if c < 0 else c for c in cert)), order
 
 
@@ -870,15 +881,18 @@ def find_isomorphism(
     permute(g1, row_perm, col_perm, sym_perm) == g2, or None if none exists.
 
     The witness is g1's canonical labeling followed by the inverse of g2's:
-    the vertices at equal positions of the two canonical orders.
+    the vertices at equal positions of the two canonical orders.  Unused
+    symbols, which have none, go g1's onto g2's in ascending order.
     """
     if not grids_equivalent(g1, g2):
         return None
     f, k = g1.f, g1.k
-    w = [0] * (f + k + g1.s)
+    w: list[int | None] = [None] * (f + k + g1.s)
     for a, b in zip(g1._canonical[1], g2._canonical[1]):
         w[a] = b
-    return w[:f], [c - f for c in w[f : f + k]], [x - f - k for x in w[f + k :]]
+    spare = (y for y in range(g2.s) if y not in g2._symbol_cells)
+    syms = [next(spare) if x is None else x - f - k for x in w[f + k :]]
+    return w[:f], [c - f for c in w[f : f + k]], syms
 
 
 def grids_equivalent(g1: PdaGrid, g2: PdaGrid) -> bool:

@@ -146,7 +146,7 @@ from .bounds import (
     split_mf_r,
     upper_bound_k,
 )
-from .core import Cell, PdaGrid, PdaUsageError, _grid, verify
+from .core import Cell, PdaGrid, PdaUsageError, _grid, _take, verify
 
 
 @dataclass(frozen=True)
@@ -921,19 +921,8 @@ def decompose(grid: PdaGrid) -> tuple[PdaGrid, PdaGrid] | None:
         rest_map = {
             y: y - bisect.bisect(block_syms, y) for y in occurrences if y not in comp
         }
-        block = _remap_columns(grid, sorted(block_cols), block_map, f)
-        rest = _remap_columns(grid, rest_cols, rest_map, s - f)
+        block = _take(grid, range(f), sorted(block_cols), block_map, f)
+        rest = _take(grid, range(f), rest_cols, rest_map, s - f)
         if verify(block, expected_z=f - 2).valid and verify(rest, expected_z=f - 2).valid:
             return block, rest
     return None
-
-
-def _remap_columns(
-    grid: PdaGrid, cols: list[int], sym_map: dict[int, int], s: int
-) -> PdaGrid:
-    cells: list[Cell] = []
-    for i in range(grid.f):
-        for j in cols:
-            c = grid.cell(i, j)
-            cells.append(sym_map[c] if c is not None else None)
-    return _grid(grid.f, len(cols), s, tuple(cells))

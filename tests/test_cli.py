@@ -230,6 +230,31 @@ class TestTransform:
             assert proc.returncode == 0, (argv, proc.stderr)
             assert pk.parse(proc.stdout) == expected, argv
 
+    def test_an_empty_column_list_selects_no_column(self):
+        proc = run_cli("transform", "subgrid", "-", "--cols=", stdin=pk.render(pk.mn_pda(3, 1)))
+        assert proc.returncode == 0, proc.stderr
+        assert pk.parse(proc.stdout) == pk.subgrid(pk.mn_pda(3, 1), range(3), [])
+
+    def test_an_empty_row_list_is_not_a_row_selection(self):
+        proc = run_cli("transform", "subgrid", "-", "--rows=", stdin=pk.render(pk.mn_pda(3, 1)))
+        assert proc.returncode == 2
+        assert "row selection must be nonempty" in proc.stderr
+
+    def test_an_empty_row_list_is_not_a_permutation(self):
+        proc = run_cli("transform", "permute", "-", "--rows=", stdin=pk.render(pk.mn_pda(3, 1)))
+        assert proc.returncode == 2
+        assert "row permutation must be a bijection on [0, 3)" in proc.stderr
+
+    def test_permute_costs_nothing_per_declared_symbol(self):
+        # The address-space cap turns a list over S into a MemoryError.
+        proc = run_cli(
+            "transform", "permute", "-", "--rows", "1,0",
+            stdin="#PDA v1\nK=1 F=2 Z=- S=10000000000\n0\n*\n",
+            memory_cap=1 << 30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert pk.parse(proc.stdout) == pk.PdaGrid(f=2, k=1, s=10**10, cells=(None, 0))
+
     def test_transform_usage_error(self):
         proc = run_cli(
             "transform", "permute", "-", "--rows", "0,0,1",

@@ -163,6 +163,42 @@ class TestBuilders:
             pk.parse_json('{"k": 3, "f": 0, "z": 0, "s": 1, "rows": []}')
 
 
+class TestDeclaredSymbolSpace:
+    """A header may declare any S.  A transform or a labeling costs the
+    cells and the used symbols, never the declared symbol space."""
+
+    S = 10**6
+
+    @pytest.mark.parametrize(
+        "op, ok",
+        [
+            (lambda g: pk.permute(g), lambda out: out.cells == (0, None)),
+            (lambda g: pk.permute(g, row_perm=[1, 0]), lambda out: out.cells == (None, 0)),
+            (lambda g: pk.subgrid(g, [1, 0], [0]), lambda out: out.cells == (None, 0)),
+            (lambda g: pk.concat(g, g), lambda out: out.k == 2),
+            (lambda g: pk.replicate(g, 3), lambda out: out.k == 3),
+            (pk.canonical_form, lambda out: out.cells == (0, None)),
+            (
+                lambda g: pk.grids_equivalent(g, pk.permute(g, row_perm=[1, 0])),
+                lambda out: out is True,
+            ),
+        ],
+        ids=["permute", "permute-rows", "subgrid", "concat", "replicate",
+             "canonical_form", "grids_equivalent"],
+    )
+    def test_peak_memory_ignores_the_declared_space(self, op, ok):
+        op(pk.PdaGrid(f=2, k=1, s=1, cells=(0, None)))  # loads the layer
+        g = pk.PdaGrid(f=2, k=1, s=self.S, cells=(0, None))
+        tracemalloc.start()
+        try:
+            out = op(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok(out)
+        assert peak < 2**20, peak
+
+
 class TestVerify:
     def test_row_repeat(self):
         rep = pk.verify(grid([[0, 0]], 1))

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 import tracemalloc
 from pathlib import Path
@@ -672,6 +673,36 @@ class TestDecompose:
         assert rest.k == g.k - 21
         assert rest.s == g.s - 7
         assert pk.verify(rest, expected_z=5).valid
+
+    def test_rest_moves_each_symbol_past_the_block_below_it(self):
+        # opt2(4, 13) is three copies of mn(4, 2), 18 columns on symbols
+        # 0..11, and a spare symbol 12 that no cell holds: the rest keeps
+        # it.  The relabeling sends the spare to 4, between block symbols.
+        # The block may be any of the three copies.
+        g = pk.optimal_fz2(4, 13)
+        sp = list(range(g.s))
+        random.Random(400).shuffle(sp)
+        for h in (g, pk.permute(g, sym_perm=sp)):
+            splits = []
+            for t in range(3):
+                block_cols = range(6 * t, 6 * t + 6)
+                rest_cols = [j for j in range(h.k) if j not in block_cols]
+                block_syms = sorted({c for j in block_cols for c in h.column(j) if c is not None})
+
+                def cells(cols, new):
+                    return tuple(
+                        None if c is None else new(c)
+                        for c in (h.cell(i, j) for i in range(h.f) for j in cols)
+                    )
+
+                splits.append((
+                    cells(block_cols, block_syms.index),
+                    cells(rest_cols, lambda y: y - sum(b < y for b in block_syms)),
+                ))
+            block, rest = pk.decompose(h)
+            assert (rest.s, rest.s_used()) == (9, 8)
+            assert (block.s, block.k, rest.k) == (4, 6, 12)
+            assert (block.cells, rest.cells) in splits
 
     def test_premise_errors(self):
         with pytest.raises(PdaUsageError):
