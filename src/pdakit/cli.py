@@ -540,6 +540,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # An input can ask for more than fits, e.g. the dual of a grid with
+        # a huge S has S rows.
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

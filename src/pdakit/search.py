@@ -66,6 +66,15 @@ skipped subtree holds no node at depth K, so the first witness in scan
 order, each optimum and each exhausted flag are those of the unpruned
 search; only node counts and deepest prefixes fall.
 
+A column-search node is one placed column, and its cost is the scan of
+its cells' candidate symbols.  The first soundness test rejects a symbol
+that already sits in one of the column's non-star rows, so each cell takes
+its candidates as one bitmask with those symbols cleared and visits them
+low bit first (see _feasible): the symbols and the order of the plain scan,
+so the tree is the same, without a step for each rejected symbol.  Likewise
+a node starts its partition's key-sorted star sets at the first key its
+predecessor allows, found by bisection.
+
 Z = F-2 cells take a board path instead.  Put rows on one axis and symbols
 on the other; a hole is a board cell (r, x) where symbol x misses row r.
 A Z = F-2 column holds two cells (r1, x1) and (r2, x2), and the two PDA
@@ -304,17 +313,29 @@ def _feasible(
 ) -> tuple[str, PdaGrid]:
     """One feasibility run for target >= 1.  Returns (code, grid): the
     witness on success, otherwise the deepest valid prefix reached (a
-    witness for its own length)."""
-    # Twin classes -> their allowed star sets; held counts the star sets.
-    allowed: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    witness for its own length).
+
+    A cell's candidates are one bitmask.  in_row[r] holds the symbols of
+    row r, and blocked, the OR of in_row over a star set's non-star rows,
+    holds the used symbols that the set's column cannot take; each symbol
+    the column places joins it for the column's later cells.  A cell tries
+    the used symbols lo..used-1 not in blocked, then the fresh symbol, low
+    bit first.  The test that row r is starred in every column holding x
+    and the potential loss stay per candidate."""
+    # Twin classes -> (keys, their allowed star sets); held counts the sets.
+    allowed: dict[
+        tuple[int, ...], tuple[list[int], list[tuple[int, int, tuple[int, ...]]]]
+    ] = {}
     held = 0
     root = ((1 << f) - 1,) if f >= 2 else ()  # all rows are twins at the root
+    width = f - z  # cells per column
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
+    in_row = [0] * f           # symbols in each row, as a bitmask
     star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
     cols: list[_Column] = []
     used = 0  # symbols labeled so far; the next fresh symbol is `used`
     # Potential prune: the symbols must still be able to supply every cell.
-    slack = s * (z + 1) - target * (f - z)
+    slack = s * (z + 1) - target * width
     deficit = 0  # sum over symbols of Z+1 minus their potential
     best_cols: list[_Column] = []
     # A column's cells spend no node, and one column can try millions of
@@ -331,6 +352,7 @@ def _feasible(
         syms: tuple[int, ...],
         tight: bool,
         last_syms: tuple[int, ...],
+        blocked: int,
     ) -> str:
         nonlocal used, deficit, steps
         steps -= 1
@@ -338,7 +360,7 @@ def _feasible(
             steps = _CELL_STEPS
             if time.monotonic() > deadline:
                 return _ABORT
-        if idx == len(nonstars):
+        if idx == width:  # the column is complete
             split = 0
             for x in syms:
                 rows = rows_of[x]
@@ -354,30 +376,38 @@ def _feasible(
         rbit = 1 << r
         lo = last_syms[idx] if tight else 0
         top = used
-        for x in range(lo, top + 1):
+        room = slack - deficit
+        # Used symbols lo..top-1 in none of the column's non-star rows, and
+        # the fresh symbol top while one is left.
+        cands = ((1 << top) - (1 << lo)) & ~blocked
+        if top < s:
+            cands |= 1 << top
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            old_and = star_and[x]
             if x == top:
-                if top == s:
-                    break  # no fresh symbol left
                 loss = 0
             else:
-                if rows_of[x] & ~mask:
-                    continue  # an earlier row of x is not starred here
-                if not (star_and[x] & rbit):
+                if not old_and & rbit:
                     continue  # row r is not starred in some column holding x
-                loss = (star_and[x] & ~mask).bit_count() - 1
-            if deficit + loss > slack:
+                loss = (old_and & ~mask).bit_count() - 1
+            if loss > room:
                 continue  # the symbols can no longer fill `target` columns
-            old_and = star_and[x]
             used = top + (x == top)
             rows_of[x] |= rbit
+            in_row[r] |= low
             star_and[x] = old_and & mask
             deficit += loss
             code = place_cells(
-                key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo, last_syms
+                key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo,
+                last_syms, blocked | low,
             )
             deficit -= loss
             star_and[x] = old_and
-            rows_of[x] &= ~rbit
+            in_row[r] ^= low
+            rows_of[x] ^= rbit
             used = top
             if code != _EXHAUSTED:
                 return code
@@ -395,20 +425,23 @@ def _feasible(
             lo, _, last_syms, classes = cols[-1]
         else:
             lo, last_syms, classes = 0, (), root
-        sets = allowed.get(classes)
-        if sets is None:
+        memo = allowed.get(classes)
+        if memo is None:
             sets = _allowed_star_sets(f, z, classes)
+            memo = [key for key, _, _ in sets], sets
             if held + len(sets) > _MEMO_CAP:
                 allowed.clear()
                 held = 0
-            allowed[classes] = sets
+            allowed[classes] = memo
             held += len(sets)
+        keys, sets = memo
         # Row break: the stars sit on the lowest rows of each twin class.
-        for key, mask, nonstars in sets:
-            if key < lo:
-                continue
-            tight = key == lo
-            code = place_cells(key, mask, nonstars, 0, (), tight, last_syms)
+        for i in range(bisect.bisect_left(keys, lo), len(sets)):
+            key, mask, nonstars = sets[i]
+            blocked = 0
+            for r in nonstars:
+                blocked |= in_row[r]
+            code = place_cells(key, mask, nonstars, 0, (), key == lo, last_syms, blocked)
             if code != _EXHAUSTED:
                 return code
         return _EXHAUSTED

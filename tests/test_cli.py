@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import pdakit as pk
+from pdakit import core
 from pdakit.cli import _parse_f_range, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -254,6 +255,17 @@ class TestTransform:
         )
         assert proc.returncode == 0, proc.stderr
         assert pk.parse(proc.stdout) == pk.PdaGrid(f=2, k=1, s=10**10, cells=(None, 0))
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        # Stands in for a dual too large to allocate, without allocating it.
+        def no_room(grid):
+            raise MemoryError
+
+        monkeypatch.setattr(core, "symbol_dual", no_room)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pk.render(pk.mn_pda(3, 1))))
+        assert main(["transform", "dual", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: out of memory\n")
 
     def test_transform_usage_error(self):
         proc = run_cli(

@@ -149,6 +149,32 @@ class TestBuilders:
             for out in outputs:
                 self.assert_public_accepts(out, name)
 
+    def test_column_picks_match_a_per_cell_reference(self):
+        # _take against picking cell by cell: sparse, dense, reversed,
+        # single and empty column picks, with and without a symbol map.
+        def reference(g, rows, cols, sym, s):
+            cells = [g.cells[i * g.k + j] for i in rows for j in cols]
+            if sym is not None:
+                cells = [sym[c] if c is not None else None for c in cells]
+            return pk.PdaGrid(f=len(rows), k=len(cols), s=s, cells=tuple(cells))
+
+        rng = random.Random(5)
+        for g in (pk.optimal_fz2(7, 38), pk.mn_pda(5, 2), pk.f2_base(4)):
+            k, every = g.k, range(g.f)
+            picks = [
+                sorted(rng.sample(range(k), min(16, k))),  # sparse
+                list(range(1, k - 1)),  # dense
+                list(range(k - 1, -1, -1)),  # reversed
+                [k - 1], [0], [k // 2],  # single columns
+                [k - 1, 0], [],
+            ]
+            shift = list(range(3, g.s + 3))
+            for rows in (every, [g.f - 1, 0]):
+                for cols in picks:
+                    for sym, s in ((None, g.s), (shift, g.s + 3)):
+                        got = pk.core._take(g, rows, cols, sym, s)
+                        assert got == reference(g, rows, cols, sym, s), (g.k, rows, cols)
+
     def test_decompose_parts_pass_the_public_check(self):
         for s in (31, 38):
             parts = pk.decompose(pk.optimal_fz2(7, s))
