@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import PdaGrid, PdaUsageError, verify
+from . import core
 
 
 def ceil_div(a: int, b: int) -> int:
     """Exact ceiling of a/b for b > 0, correct for negative a as well."""
     if b <= 0:
-        raise PdaUsageError("ceil_div needs a positive divisor")
+        raise core.PdaUsageError("ceil_div needs a positive divisor")
     return -((-a) // b)
 
 
@@ -43,11 +43,11 @@ class BoundEstimate:
 
 def _check_kfz(k: int, f: int, z: int) -> None:
     if k < 1:
-        raise PdaUsageError("K must be at least 1")
+        raise core.PdaUsageError("K must be at least 1")
     if f < 1:
-        raise PdaUsageError("F must be at least 1")
+        raise core.PdaUsageError("F must be at least 1")
     if not 0 <= z < f:
-        raise PdaUsageError(f"Z must be in [0, {f})")
+        raise core.PdaUsageError(f"Z must be in [0, {f})")
 
 
 def f_sequence(k: int, f: int, z: int) -> list[int]:
@@ -86,9 +86,9 @@ def lower_bound_s_fz2(k: int, f: int) -> BoundEstimate:
     second term exists.
     """
     if f < 3:
-        raise PdaUsageError("F must be at least 3 for the Z = F-2 form")
+        raise core.PdaUsageError("F must be at least 3 for the Z = F-2 form")
     if k < 1:
-        raise PdaUsageError("K must be at least 1")
+        raise core.PdaUsageError("K must be at least 1")
     return replace(lower_bound_s(k, f, f - 2), kind="lower_S_yb2")
 
 
@@ -136,9 +136,9 @@ def upper_bound_k(f: int, z: int, s: int) -> BoundEstimate:
     """K <= (Z+1)S / (F-Z) for any (K, F, Z, S)-PDA: each symbol appears at
     most Z+1 times, and the grid holds exactly K(F-Z) symbol cells."""
     if f < 1 or not 0 <= z < f:
-        raise PdaUsageError("need F >= 1 and Z in [0, F)")
+        raise core.PdaUsageError("need F >= 1 and Z in [0, F)")
     if s < 0:
-        raise PdaUsageError("S must be nonnegative")
+        raise core.PdaUsageError("S must be nonnegative")
     return BoundEstimate(
         kind="upper_K", value=(z + 1) * s // (f - z), certified=True
     )
@@ -154,9 +154,9 @@ def pjd_holds(k: int, f: int, s: int) -> bool:
     K <= pjd_max_k(F, S).
     """
     if f < 3:
-        raise PdaUsageError("F must be at least 3 for the Z = F-2 form")
+        raise core.PdaUsageError("F must be at least 3 for the Z = F-2 form")
     if k < 1 or s < 1:
-        raise PdaUsageError("K and S must be at least 1")
+        raise core.PdaUsageError("K and S must be at least 1")
     return k <= pjd_max_k(f, s).value
 
 
@@ -164,9 +164,9 @@ def pjd_max_k(f: int, s: int) -> BoundEstimate:
     """Largest K the pjd_holds test tolerates for (F, Z=F-2, S); any larger
     K is refuted.  Rearranges the test to K <= (SF + F*floor(S/F) - 2S)/2."""
     if f < 3:
-        raise PdaUsageError("F must be at least 3 for the Z = F-2 form")
+        raise core.PdaUsageError("F must be at least 3 for the Z = F-2 form")
     if s < 1:
-        raise PdaUsageError("S must be at least 1")
+        raise core.PdaUsageError("S must be at least 1")
     value = (s * f + f * (s // f) - 2 * s) // 2
     return BoundEstimate(kind="pjd_refutation", value=value, certified=True)
 
@@ -192,9 +192,9 @@ def conjectured_k_fz2(f: int, s: int) -> BoundEstimate:
     conjectured value with certified=False.
     """
     if f < 2:
-        raise PdaUsageError("F must be at least 2")
+        raise core.PdaUsageError("F must be at least 2")
     if s < 0:
-        raise PdaUsageError("S must be nonnegative")
+        raise core.PdaUsageError("S must be nonnegative")
     d = math.gcd(f, s)
     value = ((f - 1) * (s - 1) + d - 1) // 2
     if s == 0:
@@ -227,7 +227,7 @@ class StructuralReport:
     details: dict[str, int]
 
 
-def structural_checks(grid: PdaGrid) -> StructuralReport:
+def structural_checks(grid: core.PdaGrid) -> StructuralReport:
     """Check the multiplicity cap, the row-population cap, and the
     missing-row cover on a grid claimed to be a maximal Z = F-2 array.
 
@@ -242,7 +242,7 @@ def structural_checks(grid: PdaGrid) -> StructuralReport:
     * nar (needs m > F - r - d): for every row there is a symbol of
       multiplicity F-1 whose only missing row is that row.
     """
-    report = verify(grid)
+    report = core.verify(grid)
     f, s, k = grid.f, grid.s, grid.k
     p = grid.params()
     details: dict[str, int] = {"k": k, "f": f, "s": s}
@@ -271,9 +271,9 @@ def structural_checks(grid: PdaGrid) -> StructuralReport:
 
     if m > f - r - d:
         covered = {
-            next(iter(report.missing_rows[x]))
-            for x in full
-            if len(report.missing_rows[x]) == 1
+            next(iter(rows))
+            for rows in map(report.missing_rows.__getitem__, full)
+            if len(rows) == 1
         }
         nar = "holds" if covered == set(range(f)) else "fails"
         details["rows_covered_by_singletons"] = len(covered)

@@ -27,7 +27,9 @@ What is kept, and for how long:
 - per (grid, n_files), the placement, one frozenset of (file, subfile)
   terms per user, for the last pair only; `place` returns a fresh dict
   over it, so a caller that changes that dict cannot change the next;
-- per (seed, file, subfile, size), the content, for the last 256.
+- per (seed, file, subfile, size), the content, for the last 256.  A
+  content's SHA-256 blocks share one hashed prefix state per subfile, and
+  each block hashes only its counter on a copy of it.
 
 Decode verdicts do not depend on the demands.  `deliver` builds each
 payload as the XOR of the very contents that decoding cancels, so under
@@ -152,10 +154,15 @@ def _suffixes(blocks: int) -> tuple[bytes, ...]:
 def subfile_content(seed: int, file: int, subfile: int, size: int) -> int:
     """Deterministic pseudo-random content, as a size-byte big-endian int:
     the SHA-256 digests of "pda-sim:seed:file:subfile:counter" for counters
-    0, 1, ..., joined and cut to size bytes."""
-    base = f"pda-sim:{seed}:{file}:{subfile}".encode()
-    out = b"".join([sha256(base + suffix).digest() for suffix in _suffixes(-(-size // 32))])
-    return int.from_bytes(out[:size], "big")
+    0, 1, ..., joined and cut to size bytes.  The prefix is hashed once,
+    and each block's hash continues a copy of that state."""
+    prefix = sha256(f"pda-sim:{seed}:{file}:{subfile}".encode())
+    blocks = []
+    for suffix in _suffixes(-(-size // 32)):
+        block = prefix.copy()
+        block.update(suffix)
+        blocks.append(block.digest())
+    return int.from_bytes(b"".join(blocks)[:size], "big")
 
 
 class _Terms(dict):

@@ -30,7 +30,6 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import caching, constructions, core, formats, search
-from .core import PdaGrid, PdaUsageError, verify
 
 DEFAULT_BUDGET_SECONDS = 60.0
 
@@ -44,11 +43,11 @@ def integer(text: str) -> int:
     option parses through this, and argparse names it when it raises."""
     digits = text.strip()
     if not _INTEGER_RE.fullmatch(digits):
-        raise PdaUsageError(f"bad integer {text!r}; use ASCII digits")
+        raise core.PdaUsageError(f"bad integer {text!r}; use ASCII digits")
     try:
         return int(digits)
     except ValueError:  # past Python's limit on integer string length
-        raise PdaUsageError(f"integer of {len(digits)} digits is too long") from None
+        raise core.PdaUsageError(f"integer of {len(digits)} digits is too long") from None
 
 
 _BUDGET_RE = re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))([smhSMH]?)")
@@ -62,13 +61,13 @@ def _parse_budget(text: str) -> float:
     underscores and exponents."""
     match = _BUDGET_RE.fullmatch(text.strip())
     if not match:
-        raise PdaUsageError(
+        raise core.PdaUsageError(
             f"bad budget {text!r}; use a positive finite number in ASCII digits,"
             " e.g. 60s, 5m"
         )
     value = float(match[1]) * _UNIT_SECONDS[match[2].lower()]
     if not math.isfinite(value) or value <= 0:
-        raise PdaUsageError(
+        raise core.PdaUsageError(
             f"budget {text!r} must be a positive finite number of seconds"
         )
     return value
@@ -90,12 +89,12 @@ def _search_config(args: argparse.Namespace) -> search.SearchConfig:
     return search.SearchConfig(**kwargs)
 
 
-def _read_grid(path: str) -> PdaGrid:
+def _read_grid(path: str) -> core.PdaGrid:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return formats.parse_any(text)
 
 
-def _write_grid(grid: PdaGrid, out: str | None, as_json: bool = False) -> None:
+def _write_grid(grid: core.PdaGrid, out: str | None, as_json: bool = False) -> None:
     text = formats.render_json(grid) + "\n" if as_json else formats.render(grid)
     if out:
         Path(out).write_text(text)
@@ -112,8 +111,8 @@ def _parse_z(text: str, f: int) -> int:
         return f - 2
     try:
         return integer(text)
-    except PdaUsageError:
-        raise PdaUsageError(f"bad Z {text!r}; give an integer or f-2") from None
+    except core.PdaUsageError:
+        raise core.PdaUsageError(f"bad Z {text!r}; give an integer or f-2") from None
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -121,8 +120,8 @@ def _csv_ints(text: str) -> list[int]:
         return []
     try:
         return [integer(t) for t in text.split(",")]
-    except PdaUsageError:
-        raise PdaUsageError(f"bad integer list {text!r}") from None
+    except core.PdaUsageError:
+        raise core.PdaUsageError(f"bad integer list {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     grid = _read_grid(args.file)
-    report = verify(grid, expected_z=args.z)
+    report = core.verify(grid, expected_z=args.z)
     params = grid.params()
     obj = {
         "valid": report.valid,
@@ -221,9 +220,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     z = _parse_z(args.z, args.f)
     if args.refute is not None:
         if args.s is None:
-            raise PdaUsageError("--refute needs --s")
+            raise core.PdaUsageError("--refute needs --s")
         if z != args.f - 2:
-            raise PdaUsageError("--refute applies to the Z = F-2 family")
+            raise core.PdaUsageError("--refute applies to the Z = F-2 family")
         holds = bounds_mod.pjd_holds(args.refute, args.f, args.s)
         _emit(
             {
@@ -237,7 +236,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         )
         return 1 if not holds else 0
     if args.k is None and args.s is None:
-        raise PdaUsageError("give --k and/or --s")
+        raise core.PdaUsageError("give --k and/or --s")
     for est in _bound_lines(args, z):
         _emit(
             {
@@ -278,7 +277,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         return 1
     block, rest = result
 
-    def shape(g: PdaGrid) -> dict:
+    def shape(g: core.PdaGrid) -> dict:
         return {"k": g.k, "f": g.f, "z": g.params().z, "s": g.s}
 
     _emit({"found": True, "block": shape(block), "rest": shape(rest)})
@@ -292,13 +291,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = _read_grid(args.pda)
     if (args.demands is None) == (not args.all_demands):
-        raise PdaUsageError("give exactly one of --demands or --all-demands")
+        raise core.PdaUsageError("give exactly one of --demands or --all-demands")
     if args.files < 1:
-        raise PdaUsageError("need at least one file")
+        raise core.PdaUsageError("need at least one file")
     if args.all_demands:
         total = args.files**grid.k
         if total > 1_000_000:
-            raise PdaUsageError(
+            raise core.PdaUsageError(
                 f"--all-demands would enumerate {total} assignments; too many"
             )
         choices = [range(args.files)] * grid.k
@@ -339,26 +338,26 @@ def _parse_f_range(text: str) -> range:
         lo_txt, hi_txt = text.split("..", 1)
         try:
             lo, hi = integer(lo_txt), integer(hi_txt)
-        except PdaUsageError:
-            raise PdaUsageError(f"bad range {text!r}; use e.g. 2..6") from None
+        except core.PdaUsageError:
+            raise core.PdaUsageError(f"bad range {text!r}; use e.g. 2..6") from None
         if lo > hi:
-            raise PdaUsageError(f"empty range {text!r}")
+            raise core.PdaUsageError(f"empty range {text!r}")
         return range(lo, hi + 1)
     try:
         value = integer(text)
-    except PdaUsageError:
-        raise PdaUsageError(f"bad F value {text!r}") from None
+    except core.PdaUsageError:
+        raise core.PdaUsageError(f"bad F value {text!r}") from None
     return range(value, value + 1)
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     fs = _parse_f_range(args.f)
     if args.s_max < 1:
-        raise PdaUsageError("--s-max must be at least 1")
+        raise core.PdaUsageError("--s-max must be at least 1")
     budget = _time_budget(args)
     for f in fs:
         if f < 2:
-            raise PdaUsageError("catalog covers the Z = F-2 family; need F >= 2")
+            raise core.PdaUsageError("catalog covers the Z = F-2 family; need F >= 2")
         z = f - 2
         for s in range(1, args.s_max + 1):
             est = bounds_mod.conjectured_k_fz2(f, s)
@@ -529,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left shows here, not at exit
         return code
-    except (PdaUsageError, formats.PdaFormatError) as exc:
+    except (core.PdaUsageError, formats.PdaFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

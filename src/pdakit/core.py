@@ -272,16 +272,24 @@ V = TypeVar("V")
 
 
 class _PerSymbol(Mapping[int, V]):
-    """Symbol -> value for every symbol in [0, s): the used symbols' values
-    are given, and an unused symbol's value is unused(), made when read.  A
-    header may declare any S, so the view costs only the used symbols."""
+    """Symbol -> value for every symbol in [0, s), made when read: a used
+    symbol's value is used(its cells), an unused symbol's is unused().  A
+    header may declare any S, and a grid may use many symbols, so the view
+    costs nothing until a value is read."""
 
-    def __init__(self, s: int, used: dict[int, V], unused: Callable[[], V]) -> None:
-        self._s, self._used, self._unused = s, used, unused
+    def __init__(
+        self,
+        s: int,
+        occurrences: Mapping[int, tuple[tuple[int, int], ...]],
+        used: Callable[[tuple[tuple[int, int], ...]], V],
+        unused: Callable[[], V],
+    ) -> None:
+        self._s, self._occurrences = s, occurrences
+        self._used, self._unused = used, unused
 
     def __getitem__(self, x: int) -> V:
-        if x in self._used:
-            return self._used[x]
+        if x in self._occurrences:
+            return self._used(self._occurrences[x])
         if isinstance(x, int) and 0 <= x < self._s:
             return self._unused()
         raise KeyError(x)
@@ -297,12 +305,15 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     """Check the two PDA properties, and column-regularity if expected_z is given.
 
     A symbol with no row or column repeat passes the star-corner check
-    when each of its cells' rows stars every other column the symbol
-    uses: one K-bit mask test per cell.  A row's star mask is built once,
-    and only for rows that hold a symbol.  Any other symbol, and one the
-    masks reject, walks its occurrence pairs, which lists its violations
-    in order.  So a valid grid costs O(F*K) steps of at most one K-bit
-    integer operation each.
+    when none of its rows holds a symbol in another of its columns.  That
+    is one mask test per cell, on masks of the symbol cells along the
+    grid's shorter side: one per column when F <= K, else one per row,
+    each of at most min(F, K) bits.  The masks are set from the symbol
+    census, one bit per symbol cell, and a column (row) with no symbol
+    gets none.  Any other symbol, and one the masks reject, walks its
+    occurrence pairs, which lists its violations in order.  So after the
+    census a valid grid costs O(symbol cells) steps of at most one
+    min(F, K)-bit integer operation each, whatever its stars.
 
     The violations are made lazily, in report order, and only the first
     _MAX_VIOLATIONS + 1 are taken.  Repeats, at most two per cell, are
@@ -317,11 +328,15 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     cells = grid.cells
     occurrences = grid._symbol_cells
 
-    @cache
-    def star_mask(i: int) -> int:
-        """Bit j set iff cell (i, j) is a star."""
-        row = cells[i * k : i * k + k]
-        return int("".join(["0" if c is not None else "1" for c in reversed(row)]), 2)
+    # Symbol-cell masks along the grid's shorter side, so that none has
+    # more than min(F, K) bits: bit b of masks[a] is set iff the cell at
+    # line a, position b holds a symbol, where lines are the columns when
+    # F <= K and the rows otherwise.  Lines with no symbol get no mask.
+    line, across = (1, 0) if f <= k else (0, 1)
+    masks: defaultdict[int, int] = defaultdict(int)
+    for occs in occurrences.values():
+        for cell in occs:
+            masks[cell[line]] |= 1 << cell[across]
 
     # Property 1, row and column uniqueness: each later cell of a symbol in
     # a row (column) repeats the first one there, kept as a sortable tuple.
@@ -329,23 +344,25 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     col_repeats: list[tuple[int, int, int, int]] = []  # (col, row_b, symbol, row_a)
     suspects: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for sym, occs in occurrences.items():
-        first_col: dict[int, int] = {}
-        first_row: dict[int, int] = {}
-        for i, j in occs:
-            col_a = first_col.setdefault(i, j)
-            if col_a != j:
-                row_repeats.append((i, j, sym, col_a))
-            row_a = first_row.setdefault(j, i)
-            if row_a != i:
-                col_repeats.append((j, i, sym, row_a))
-        if len(first_col) == len(first_row) == len(occs):
+        sides = tuple(zip(*occs))  # the rows, then the columns, of its cells
+        if len(set(sides[0])) == len(set(sides[1])) == len(occs):
             # One cell per row and column: the symbol's corners are all
-            # stars iff each cell's row stars every other column it uses.
-            cols = 0
-            for _, j in occs:
-                cols |= 1 << j
-            if all((star_mask(i) & cols) | (1 << j) == cols for i, j in occs):
+            # stars iff each of its lines holds no symbol at the symbol's
+            # other positions across.  Each line's part of spots holds its
+            # own cell's bit, so the parts sum to spots iff none holds more.
+            spots = sum(map((1).__lshift__, sides[across]))
+            if sum(map(spots.__and__, map(masks.__getitem__, sides[line]))) == spots:
                 continue
+        else:
+            first_col: dict[int, int] = {}
+            first_row: dict[int, int] = {}
+            for i, j in occs:
+                col_a = first_col.setdefault(i, j)
+                if col_a != j:
+                    row_repeats.append((i, j, sym, col_a))
+                row_a = first_row.setdefault(j, i)
+                if row_a != i:
+                    col_repeats.append((j, i, sym, row_a))
         suspects.append((sym, occs))
     row_repeats.sort()
     col_repeats.sort()
@@ -388,13 +405,9 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     return VerificationReport(
         valid=not violations,
         violations=violations[:_MAX_VIOLATIONS],
-        multiplicity=_PerSymbol(
-            grid.s, {x: len(occs) for x, occs in occurrences.items()}, int
-        ),
+        multiplicity=_PerSymbol(grid.s, occurrences, len, int),
         missing_rows=_PerSymbol(
-            grid.s,
-            {x: all_rows() - {i for i, _ in occs} for x, occs in occurrences.items()},
-            all_rows,
+            grid.s, occurrences, lambda occs: all_rows() - {i for i, _ in occs}, all_rows
         ),
         truncated=len(violations) > _MAX_VIOLATIONS,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, Iterator
 
 from .core import Cell, PdaGrid, _grid
 
@@ -42,9 +42,26 @@ def render(grid: PdaGrid) -> str:
         FORMAT_HEADER,
         f"K={grid.k} F={grid.f} Z={z if z is not None else '-'} S={grid.s}",
     ]
-    for i in range(grid.f):
-        lines.append(" ".join("*" if c is None else str(c) for c in grid.row(i)))
+    lines.extend(_row_texts(grid, "*", " "))
     return "\n".join(lines) + "\n"
+
+
+class _Words(dict):
+    """Symbol -> its decimal text, made at the symbol's first read."""
+
+    def __missing__(self, x: int) -> str:
+        word = self[x] = str(x)
+        return word
+
+
+def _row_texts(grid: PdaGrid, star: str, sep: str) -> Iterator[str]:
+    """Each row's cells as text joined by sep: star for a star, and for a
+    symbol its decimal, read from one word table per grid, so each symbol
+    is converted once however many cells hold it."""
+    words = _Words()
+    k, cells = grid.k, grid.cells
+    for i in range(grid.f):
+        yield sep.join([star if c is None else words[c] for c in cells[i * k : i * k + k]])
 
 
 def parse(text: str) -> PdaGrid:
@@ -114,15 +131,11 @@ def _check_declared_z(grid: PdaGrid, z: int) -> None:
 
 def render_json(grid: PdaGrid) -> str:
     """Serialize a grid to the one-line JSON mirror."""
-    z = grid._regular_z
-    obj = {
-        "k": grid.k,
-        "f": grid.f,
-        "z": z,
-        "s": grid.s,
-        "rows": [["*" if c is None else c for c in grid.row(i)] for i in range(grid.f)],
-    }
-    return json.dumps(obj, separators=(", ", ": "))
+    shape = {"k": grid.k, "f": grid.f, "z": grid._regular_z, "s": grid.s}
+    # The rows are spelled here as json.dumps spells them: "*" for a star,
+    # the decimal for a symbol, ", " between items.
+    rows = ", ".join(["[" + row + "]" for row in _row_texts(grid, '"*"', ", ")])
+    return json.dumps(shape, separators=(", ", ": "))[:-1] + ', "rows": [' + rows + "]}"
 
 
 def parse_json(source: str | dict[str, Any]) -> PdaGrid:

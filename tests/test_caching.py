@@ -7,6 +7,7 @@ fail for at least one.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -49,6 +50,20 @@ class TestSubfileContent:
             "2"
         )
         assert pk.subfile_content(3, 1, 2, 100) == want
+
+    @pytest.mark.parametrize("size", [1, 32, 33, 64, 1024])
+    def test_block_boundaries_follow_the_definition(self, size):
+        # Each 32-byte block is the SHA-256 of its own full message, so
+        # sizes at and just past a block match a fresh hash per block.
+        seed, file, subfile = 11, 4, 7
+        blocks = -(-size // 32)
+        out = b"".join(
+            hashlib.sha256(f"pda-sim:{seed}:{file}:{subfile}:{n}".encode()).digest()
+            for n in range(blocks)
+        )
+        assert pk.subfile_content(seed, file, subfile, size) == int.from_bytes(
+            out[:size], "big"
+        )
 
 
 class TestInstance:

@@ -152,7 +152,7 @@ def test_a_layer_whose_run_raises_stays_lazy(tmp_path, fault):
     pkg = tmp_path / "pdakit"
     shutil.copytree(Path(pk.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
     bounds = pkg / "bounds.py"
-    anchor = "from .core import PdaGrid, PdaUsageError, verify\n"
+    anchor = "from . import core\n"
     source = bounds.read_text()
     assert anchor in source
     bounds.write_text(source.replace(anchor, anchor + fault + "\n"))
@@ -191,7 +191,7 @@ def test_a_layer_whose_run_raises_stays_lazy(tmp_path, fault):
 # set shows here, and moves that command's start-up time.
 
 CLI_LAYERS = [
-    (["bound", "--f", "4", "--z", "2", "--s", "6"], ["core", "bounds"]),
+    (["bound", "--f", "4", "--z", "2", "--s", "6"], ["bounds"]),
     (["construct", "mn", "--f", "4", "--z", "2"], ["core", "bounds", "constructions", "formats"]),
     (["verify", "{grid}"], ["core", "formats"]),
     (["transform", "dual", "{grid}"], ["core", "formats"]),
@@ -199,7 +199,7 @@ CLI_LAYERS = [
     (["decompose", "{grid}"], ["core", "bounds", "formats", "search"]),
     (["simulate", "--pda", "{grid}", "--files", "2", "--all-demands"], ["core", "formats", "caching"]),
     (["catalog", "--f", "2..3", "--s-max", "3"], ["core", "bounds", "search"]),
-    (["--help"], ["core"]),
+    (["--help"], []),
 ]
 
 
@@ -217,3 +217,21 @@ def test_cli_runs_only_its_layers(tmp_path, argv, layers):
     """ % (argv,), REPORT))
     caching = "caching" in layers
     assert got == {"ran": layers, "hashlib": caching, "fractions": caching}
+
+
+def test_a_usage_error_raised_in_bounds_before_core_has_run_exits_two():
+    # `pda bound` runs bounds only, so an argument that bounds rejects
+    # raises core's PdaUsageError while core is still lazy: core runs at
+    # that raise, and the command still exits 2 with its message.
+    got = last_json(run_python("""
+        import contextlib, io, json, sys, types
+        import pdakit.cli
+        def ran(layer):
+            return type(sys.modules["pdakit." + layer]) is types.ModuleType
+        before = [n for n in %r if ran(n)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = pdakit.cli.main(["bound", "--f", "4", "--z", "9", "--s", "6"])
+        print(json.dumps([before, code, err.getvalue(), ran("core")]))
+    """ % (LAYERS,)))
+    assert got == [[], 2, "error: need F >= 1 and Z in [0, F)\n", True]

@@ -227,3 +227,76 @@ def test_non_star_corner_in_a_high_multiplicity_grid():
         assert any(
             isinstance(v, pk.CornerViolation) and v.symbol == 0 for v in rep.violations
         )
+
+
+# Widths at and past a byte or a 64-bit word.  verify's masks run along the
+# grid's shorter side, so each width is tried both as F and as K.
+WIDTHS = (8, 9, 16, 17, 63, 64, 65)
+# PDAs of 9 rows and 84 columns, and of 126 rows and 84 columns: each of
+# their sub-arrays is a PDA whose symbols fill rows and columns once each.
+MN_9_3 = pk.mn_pda(9, 3)
+DUAL_9_3 = pk.symbol_dual(MN_9_3)
+
+
+def scattered_grid(rng, f, k, star):
+    """Stars at rate `star`; the other cells draw from about one symbol per
+    two cells, so most symbols hold a few cells in distinct rows and
+    columns and only their corners decide.  Symbol 0 holds three cells."""
+    s = max(1, round(f * k * (1 - star) / 2))
+    cells = [STAR if rng.random() < star else rng.randrange(s) for _ in range(f * k)]
+    for idx in rng.sample(range(f * k), 3):
+        cells[idx] = 0
+    return pk.PdaGrid(f=f, k=k, s=s, cells=tuple(cells))
+
+
+def with_repeats(rng, grid):
+    """A copy where one cell of symbol 0 is copied into its row and its column."""
+    f, k = grid.f, grid.k
+    cells = list(grid.cells)
+    i, j = rng.choice([divmod(idx, k) for idx, c in enumerate(cells) if c == 0])
+    cells[i * k + rng.randrange(k)] = 0
+    cells[rng.randrange(f) * k + j] = 0
+    return pk.PdaGrid(f=f, k=k, s=grid.s, cells=tuple(cells))
+
+
+def with_filled_corner(rng, grid):
+    """A copy where one star corner of a symbol pair holds a fresh symbol."""
+    k = grid.k
+    pairs = [
+        (ra, cb)
+        for occs in grid._symbol_cells.values()
+        for (ra, ca), (rb, cb) in itertools.combinations(occs, 2)
+        if ra != rb and ca != cb
+    ]
+    if not pairs:
+        return grid
+    ra, cb = rng.choice(pairs)
+    cells = list(grid.cells)
+    cells[ra * k + cb] = grid.s
+    return pk.PdaGrid(f=grid.f, k=k, s=grid.s + 1, cells=tuple(cells))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_seeded_wide_grids(width):
+    # Per shape: a sub-array of a PDA (valid, with many symbol pairs that
+    # pass the masks), that sub-array with one corner filled (rejected by
+    # the masks), and scattered grids at sparse and dense star rates, each
+    # also with repeats of symbol 0.
+    rng = random.Random(4053 + width)
+    shapes = [(4, width), (width, 3), (width, width), (width + 1, width), (width, width + 1)]
+    filled = 0
+    for f, k in shapes:
+        pda = MN_9_3 if f <= MN_9_3.f else DUAL_9_3
+        sub = pk.subgrid(
+            pda, sorted(rng.sample(range(pda.f), f)), sorted(rng.sample(range(pda.k), k))
+        )
+        assert assert_same_report(sub).valid
+        broken = with_filled_corner(rng, sub)
+        if broken is not sub:
+            filled += 1
+            assert not assert_same_report(broken).valid
+        for star in (0.3, 0.9):
+            g = scattered_grid(rng, f, k, star)
+            for h in (g, with_repeats(rng, g)):
+                assert_same_report(h, rng.choice([None, h.star_counts()[0]]))
+    assert filled >= 3
