@@ -73,7 +73,26 @@ its candidates as one bitmask with those symbols cleared and visits them
 low bit first (see _feasible): the symbols and the order of the plain scan,
 so the tree is the same, without a step for each rejected symbol.  Likewise
 a node starts its partition's key-sorted star sets at the first key its
-predecessor allows, found by bisection.
+predecessor allows, found by bisection.  The last cell of a column appends
+it and descends from its own candidate loop, so a column costs one frame
+for its node and one per cell.
+
+Forward check (Haralick & Elliott 1980, with a counting relaxation of the
+matching condition as in Régin, AAAI 1994): a node tests each star set
+before its first cell.  With fresh = S - used symbols still unlabeled, at
+least need = (F-Z) - fresh of the column's cells take used symbols, and
+distinct ones, since a symbol placed in a column blocks it for the rest of
+the column.  A used symbol x that sits in none of the set's non-star rows
+can fill a cell only in a row of part = star_and[x] & non-stars, and costs
+the potential loss |part| - 1 in any of them, which must fit in the room
+slack - deficit left at the node.  The set is skipped when the rows that
+no such eligible symbol covers outnumber fresh, when fewer than need
+symbols are eligible, or when the need smallest losses sum to more than
+the room.  Each test relaxes tests the cells make one by one (it drops the
+key order's lower bound on a cell's symbol, and that two used symbols may
+compete for one row), and the room only shrinks as a column fills, so a
+skipped set holds no column the cells would place: the tree, its node
+counts, deepest prefixes and first witnesses are those of the plain scan.
 
 Z = F-2 cells take a board path instead.  Put rows on one axis and symbols
 on the other; a hole is a board cell (r, x) where symbol x misses row r.
@@ -243,18 +262,21 @@ class _Budget:
 # searched, which a memo that stops growing would not.
 _MEMO_CAP = 1 << 13
 
-# place_cells calls between two reads of the deadline inside one column.
+# Steps between two reads of the deadline where no node is spent: place_cells
+# calls and skipped star sets inside one node, and star sets built.
 _CELL_STEPS = 1 << 12
 
 
 def _allowed_star_sets(
-    f: int, z: int, classes: tuple[int, ...]
-) -> list[tuple[int, int, tuple[int, ...]]]:
+    f: int, z: int, classes: tuple[int, ...], deadline: float = math.inf
+) -> list[tuple[int, int, tuple[int, ...]]] | None:
     """(key, mask, non-star rows) for every star set a column may take when
     the prefix's twin-row classes of two or more rows are the bitmasks
     classes (every other row is a class of its own): the lowest a_i rows of
     each class i, with the a_i summing to Z.  Sorted by key, which follows
-    the lex order of the star tuples."""
+    the lex order of the star tuples.  There are up to C(F, Z) of them, so
+    the clock is read every _CELL_STEPS sets, and None means the deadline
+    passed before the list was whole."""
     covered = 0
     for c in classes:
         covered |= c
@@ -272,19 +294,23 @@ def _allowed_star_sets(
         room[i] = room[i + 1] + len(prefixes[i]) - 1
     out = []
 
-    def choose(i: int, left: int, mask: int) -> None:
+    def choose(i: int, left: int, mask: int) -> bool:
+        """False once the deadline has passed."""
         if i == len(prefixes):
             # Lex order of star tuples is descending order of the mask
             # with row r at bit F-1-r.
             key = (1 << f) - sum(1 << f - 1 - r for r in range(f) if mask >> r & 1)
             nonstars = tuple(r for r in range(f) if not mask >> r & 1)
             out.append((key, mask, nonstars))
-            return
+            return len(out) % _CELL_STEPS or time.monotonic() <= deadline
         masks = prefixes[i]
         for a in range(max(0, left - room[i + 1]), min(len(masks) - 1, left) + 1):
-            choose(i + 1, left - a, mask | masks[a])
+            if not choose(i + 1, left - a, mask | masks[a]):
+                return False
+        return True
 
-    choose(0, z, 0)
+    if not choose(0, z, 0):
+        return None
     out.sort()
     return out
 
@@ -321,17 +347,33 @@ def _feasible(
     the column places joins it for the column's later cells.  A cell tries
     the used symbols lo..used-1 not in blocked, then the fresh symbol, low
     bit first.  The test that row r is starred in every column holding x
-    and the potential loss stay per candidate."""
+    and the potential loss stay per candidate.  The last cell appends each
+    completed column and descends from its own loop, so a column costs one
+    frame per cell.
+
+    Forward check (see the module docstring): with fresh = S - used symbols
+    left, at least need = (F-Z) - fresh of a column's cells take used
+    symbols, distinct ones.  A used symbol x outside blocked can fill a
+    cell only in a row of part = star_and[x] & nonstars, at a loss of
+    |part| - 1 (the same in every row) that must fit in room = slack -
+    deficit.  A star set is skipped before its first cell when the rows no
+    such eligible symbol covers outnumber fresh, when fewer than need
+    symbols are eligible, or when the need smallest losses sum to more than
+    room.  Each is a relaxation of tests the cells make (it drops lo and
+    that the used symbols compete for rows), so a skipped set completes no
+    column: the tree and its nodes are those of the plain scan.  A skipped
+    set counts as one step toward the next read of the deadline."""
     # Twin classes -> (keys, their allowed star sets); held counts the sets.
     allowed: dict[
         tuple[int, ...], tuple[list[int], list[tuple[int, int, tuple[int, ...]]]]
     ] = {}
     held = 0
-    root = ((1 << f) - 1,) if f >= 2 else ()  # all rows are twins at the root
+    full = (1 << f) - 1
+    root = (full,) if f >= 2 else ()  # all rows are twins at the root
     width = f - z  # cells per column
     rows_of = [0] * s          # rows occupied by each symbol, as a bitmask
     in_row = [0] * f           # symbols in each row, as a bitmask
-    star_and = [(1 << f) - 1] * s  # AND of star masks over columns holding x
+    star_and = [full] * s      # AND of star masks over columns holding x
     cols: list[_Column] = []
     used = 0  # symbols labeled so far; the next fresh symbol is `used`
     # Potential prune: the symbols must still be able to supply every cell.
@@ -340,7 +382,7 @@ def _feasible(
     best_cols: list[_Column] = []
     # A column's cells spend no node, and one column can try millions of
     # partial assignments, so the deadline is also read every _CELL_STEPS
-    # place_cells calls.
+    # place_cells calls or skipped star sets.
     deadline = budget.deadline
     steps = _CELL_STEPS
 
@@ -360,23 +402,12 @@ def _feasible(
             steps = _CELL_STEPS
             if time.monotonic() > deadline:
                 return _ABORT
-        if idx == width:  # the column is complete
-            split = 0
-            for x in syms:
-                rows = rows_of[x]
-                if rows & (rows - 1):  # a reused symbol: no row of it is a twin
-                    split |= rows
-            classes = cols[-1][3] if cols else root
-            cols.append((key, nonstars, syms, _refine(classes, mask, split)))
-            code = descend(len(cols))
-            if code != _FOUND:
-                cols.pop()
-            return code
         r = nonstars[idx]
         rbit = 1 << r
         lo = last_syms[idx] if tight else 0
         top = used
         room = slack - deficit
+        last = idx == width - 1
         # Used symbols lo..top-1 in none of the column's non-star rows, and
         # the fresh symbol top while one is left.
         cands = ((1 << top) - (1 << lo)) & ~blocked
@@ -400,10 +431,23 @@ def _feasible(
             in_row[r] |= low
             star_and[x] = old_and & mask
             deficit += loss
-            code = place_cells(
-                key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo,
-                last_syms, blocked | low,
-            )
+            if last:  # the column is complete
+                col = syms + (x,)
+                split = 0
+                for y in col:
+                    rows = rows_of[y]
+                    if rows & (rows - 1):  # a reused symbol: no row of it is a twin
+                        split |= rows
+                classes = cols[-1][3] if cols else root
+                cols.append((key, nonstars, col, _refine(classes, mask, split)))
+                code = descend(len(cols))
+                if code != _FOUND:
+                    cols.pop()
+            else:
+                code = place_cells(
+                    key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo,
+                    last_syms, blocked | low,
+                )
             deficit -= loss
             star_and[x] = old_and
             in_row[r] ^= low
@@ -414,7 +458,7 @@ def _feasible(
         return _EXHAUSTED
 
     def descend(depth: int) -> str:
-        nonlocal best_cols, held
+        nonlocal best_cols, held, steps
         if depth > len(best_cols):
             best_cols = list(cols)
         if depth == target:
@@ -427,7 +471,9 @@ def _feasible(
             lo, last_syms, classes = 0, (), root
         memo = allowed.get(classes)
         if memo is None:
-            sets = _allowed_star_sets(f, z, classes)
+            sets = _allowed_star_sets(f, z, classes, deadline)
+            if sets is None:
+                return _ABORT
             memo = [key for key, _, _ in sets], sets
             if held + len(sets) > _MEMO_CAP:
                 allowed.clear()
@@ -435,12 +481,42 @@ def _feasible(
             allowed[classes] = memo
             held += len(sets)
         keys, sets = memo
+        fresh = s - used
+        need = width - fresh  # cells that must take used symbols
+        room = slack - deficit
         # Row break: the stars sit on the lowest rows of each twin class.
         for i in range(bisect.bisect_left(keys, lo), len(sets)):
             key, mask, nonstars = sets[i]
             blocked = 0
             for r in nonstars:
                 blocked |= in_row[r]
+            if need > 0:
+                open_rows = full ^ mask
+                cover = 0
+                losses = []
+                avail = ((1 << used) - 1) & ~blocked
+                if avail.bit_count() < need:
+                    avail = 0
+                while avail:
+                    low = avail & -avail
+                    avail ^= low
+                    part = star_and[low.bit_length() - 1] & open_rows
+                    if part:
+                        loss = part.bit_count() - 1
+                        if loss <= room:
+                            cover |= part
+                            losses.append(loss)
+                if (
+                    len(losses) < need
+                    or (open_rows & ~cover).bit_count() > fresh
+                    or need > 1 and sum(sorted(losses)[:need]) > room
+                ):
+                    steps -= 1
+                    if not steps:
+                        steps = _CELL_STEPS
+                        if time.monotonic() > deadline:
+                            return _ABORT
+                    continue  # no column with these stars can be filled
             code = place_cells(key, mask, nonstars, 0, (), key == lo, last_syms, blocked)
             if code != _EXHAUSTED:
                 return code
@@ -448,7 +524,7 @@ def _feasible(
 
     try:
         code = descend(0)
-    except RecursionError:  # one frame per column and one per cell
+    except RecursionError:  # descend per column, place_cells per cell
         code = _ABORT
     chosen = cols if code == _FOUND else best_cols
     columns = [zip(nonstars, syms) for _, nonstars, syms, _ in chosen]

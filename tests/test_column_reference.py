@@ -10,6 +10,7 @@ the deepest prefix and that prefix's cells, not only on the pinned optima.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,26 @@ def test_frontier_levels_build_the_same_tree(f, z, s, k, cap):
     want = level_records(reference_feasible, f, z, s, k, search._Budget(cfg))
     assert got == want
     assert got[:2] == ("abort", cap)
+
+
+def test_random_small_levels_build_the_same_tree():
+    # Levels around the proven cap reach states the golden cells may pass
+    # by: tight slack, few fresh symbols left, and star sets that no column
+    # can fill.  A random node cap stops each level at a random point of its
+    # tree, where both engines must hold the same deepest prefix.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cells = [(f, z, s) for f in (4, 5, 6) for z in range(1, f - 2) for s in range(1, 10)]
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(cells), st.integers(-3, 1), st.sampled_from(range(1, 4_001)))
+    def check(cell, offset, cap):
+        k = max(1, search._max_k_cap(*cell, math.inf) + offset)
+        cfg = SearchConfig(time_budget=600.0, node_budget=cap)
+        got = level_records(LIBRARY, *cell, k, search._Budget(cfg))
+        want = level_records(reference_feasible, *cell, k, search._Budget(cfg))
+        assert got == want, (cell, k, cap)
+
+    check()

@@ -448,8 +448,10 @@ class TestLevels:
             # Board path: one frame per symbol, so S = 2000 symbols go deeper
             # than the recursion limit before the deficiency prune can cut.
             (4, 2, 2000, 8000),
-            # Column path: one frame per column and one per cell.
-            (4, 1, 600, 300),
+            # Column path: one frame per column and one per cell, so about
+            # 250 columns of 3 cells reach the limit; at S = 600 the node
+            # cap binds first, with prefixes near 200 columns.
+            (4, 1, 800, 300),
         ],
     )
     def test_recursion_depth_aborts_with_a_witness(self, f, z, s, cap):
@@ -537,16 +539,41 @@ class TestColumnPath:
         assert pk.verify(out.witness, expected_z=3).valid
 
     def test_time_budget_binds_inside_one_column(self):
-        # The cap sends (24, 12, 12) straight to K = 2, where some second
-        # columns try 11! partial assignments before they die, all inside
-        # one node: the deadline is also read between cell steps.
+        # At (16, 8, 18) the level K = 13 places three columns at once, then
+        # the fourth column's star sets pass the forward check and try
+        # hundreds of thousands of partial assignments, all inside one node:
+        # the deadline is also read between cell steps.
         start = time.perf_counter()
-        out = pk.max_k(24, 12, 12, SearchConfig(time_budget=1.0))
+        out = pk.max_k(16, 8, 18, SearchConfig(time_budget=1.0))
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, elapsed
-        assert [(lv.target, lv.code, lv.nodes) for lv in out.levels] == [(2, "abort", 2)]
+        assert [(lv.target, lv.code, lv.nodes) for lv in out.levels] == [(13, "abort", 4)]
         assert not out.exhausted
-        assert out.optimum == out.witness.k == 1
+        assert out.optimum == out.witness.k == 3
+        assert pk.verify(out.witness, expected_z=8).valid
+
+    def test_time_budget_binds_while_star_sets_are_built(self):
+        # After a few columns of (22, 12, 12) most rows are twin classes of
+        # their own, so a partition allows up to C(22, 12) = 646,646 star
+        # sets; building them reads the deadline too.
+        start = time.perf_counter()
+        out = pk.max_k(22, 12, 12, SearchConfig(time_budget=1.0))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, elapsed
+        assert out.levels[-1].code == "abort"
+        assert not out.exhausted
+        assert out.optimum == out.witness.k
+        assert pk.verify(out.witness, expected_z=12).valid
+
+    def test_forward_check_settles_a_wide_cell(self):
+        # The cap sends (24, 12, 12) straight to K = 2.  Cell by cell, some
+        # second columns tried 11! partial assignments before they died;
+        # the forward check skips their star sets, and a second column is
+        # found at once.
+        out = pk.max_k(24, 12, 12)
+        assert [(lv.target, lv.code, lv.nodes) for lv in out.levels] == [(2, "found", 2)]
+        assert out.exhausted
+        assert out.optimum == out.witness.k == 2
         assert pk.verify(out.witness, expected_z=12).valid
 
 
