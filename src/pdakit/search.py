@@ -151,10 +151,13 @@ so skipping it keeps every exhausted outcome exact, and it is not recorded.
 _scan times and records every level it asks in SearchOutcome.levels, stops
 at the first found or aborted one and keeps the witness.  Exhausted
 outcomes are exact; aborted ones degrade to honest witnessed bounds.  A
-level aborts on the node or time budget, or when the engine's recursion
-(one frame per column cell, or per symbol on the board) reaches Python's
-limit.  The levels are generated as they are asked, so a huge cap or floor
-costs nothing up front.
+level aborts when the engine's recursion (one frame per column cell, or per
+symbol on the board) reaches Python's limit, or when _Budget raises: at the
+node cap, or once the deadline has passed.  One clock serves both engines.
+It is read on every node, and every _CELL_STEPS steps that spend no node:
+place_cells calls, skipped star sets and star sets built.  The engines'
+recursions return only whether they found a grid.  The levels are generated
+as they are asked, so a huge cap or floor costs nothing up front.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -181,23 +185,24 @@ from .core import Cell, PdaGrid, PdaUsageError, _grid, _take, verify
 class SearchConfig:
     """Budgets for the exhaustive searches.
 
-    time_budget is wall seconds, node_budget counts column placements
-    (candidate hole subsets, for Z = F-2); whichever runs out first aborts the
-    search, and nodes_visited never exceeds node_budget.  The clock is read
-    on every node and, inside the column search's cell enumeration (which
-    spends no node), every few thousand cell steps, so a time abort overruns
-    the deadline by at most that much work.  The search is sequential and
-    bit-for-bit deterministic.
+    time_budget is wall seconds, a real number; node_budget counts column
+    placements (candidate hole subsets, for Z = F-2), an int.  Whichever runs
+    out first aborts the search, and nodes_visited never exceeds
+    node_budget.  One clock is read on every node and every 4,096 steps that
+    spend no node (column cells, skipped star sets, star sets built), so a
+    time abort overruns the deadline by at most that much work.  The search
+    is sequential and bit-for-bit deterministic.
     """
 
     time_budget: float = 60.0
     node_budget: int = 50_000_000
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time_budget) or self.time_budget <= 0:
+        t, n = self.time_budget, self.node_budget
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0 < t < math.inf:
             raise PdaUsageError("time budget must be a positive finite number")
-        if self.node_budget <= 0:
-            raise PdaUsageError("node budget must be positive")
+        if isinstance(n, bool) or not isinstance(n, int) or n <= 0:
+            raise PdaUsageError("node budget must be a positive integer")
 
 
 _FOUND, _EXHAUSTED, _ABORT = "found", "exhausted", "abort"
@@ -237,22 +242,41 @@ class SearchOutcome:
     levels: tuple[SearchLevel, ...] = ()
 
 
+# Steps between two reads of the deadline where no node is spent: place_cells
+# calls and skipped star sets inside one node, and star sets built.
+_CELL_STEPS = 1 << 12
+
+
+class _Spent(Exception):
+    """The search's node or time budget ran out: the level aborts."""
+
+
 class _Budget:
-    """Node and deadline accounting, shared by the levels of one search."""
+    """Node and deadline accounting, shared by the levels of one search.
+    A spent budget stops a level one way: spend and tick raise _Spent."""
 
     def __init__(self, cfg: SearchConfig) -> None:
         self.start = time.monotonic()
         self.deadline = self.start + cfg.time_budget
         self.cap = cfg.node_budget
         self.count = 0
+        self.steps = _CELL_STEPS
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
         """Count one node, or refuse it (and every later one) once the cap
         or the deadline is reached; a refused node is not counted."""
         if self.count >= self.cap or time.monotonic() > self.deadline:
-            return False
+            raise _Spent
         self.count += 1
-        return True
+
+    def tick(self) -> None:
+        """One step that spends no node; every _CELL_STEPS-th reads the
+        clock and refuses once the deadline has passed."""
+        self.steps -= 1
+        if not self.steps:
+            self.steps = _CELL_STEPS
+            if time.monotonic() > self.deadline:
+                raise _Spent
 
 
 # Capacity of each of a level's memos: entries of the board's row
@@ -262,21 +286,16 @@ class _Budget:
 # searched, which a memo that stops growing would not.
 _MEMO_CAP = 1 << 13
 
-# Steps between two reads of the deadline where no node is spent: place_cells
-# calls and skipped star sets inside one node, and star sets built.
-_CELL_STEPS = 1 << 12
-
 
 def _allowed_star_sets(
-    f: int, z: int, classes: tuple[int, ...], deadline: float = math.inf
-) -> list[tuple[int, int, tuple[int, ...]]] | None:
+    f: int, z: int, classes: tuple[int, ...], tick: Callable[[], None] = lambda: None
+) -> list[tuple[int, int, tuple[int, ...]]]:
     """(key, mask, non-star rows) for every star set a column may take when
     the prefix's twin-row classes of two or more rows are the bitmasks
     classes (every other row is a class of its own): the lowest a_i rows of
     each class i, with the a_i summing to Z.  Sorted by key, which follows
     the lex order of the star tuples.  There are up to C(F, Z) of them, so
-    the clock is read every _CELL_STEPS sets, and None means the deadline
-    passed before the list was whole."""
+    each set built is one tick."""
     covered = 0
     for c in classes:
         covered |= c
@@ -294,23 +313,20 @@ def _allowed_star_sets(
         room[i] = room[i + 1] + len(prefixes[i]) - 1
     out = []
 
-    def choose(i: int, left: int, mask: int) -> bool:
-        """False once the deadline has passed."""
+    def choose(i: int, left: int, mask: int) -> None:
         if i == len(prefixes):
             # Lex order of star tuples is descending order of the mask
             # with row r at bit F-1-r.
             key = (1 << f) - sum(1 << f - 1 - r for r in range(f) if mask >> r & 1)
             nonstars = tuple(r for r in range(f) if not mask >> r & 1)
             out.append((key, mask, nonstars))
-            return len(out) % _CELL_STEPS or time.monotonic() <= deadline
+            tick()
+            return
         masks = prefixes[i]
         for a in range(max(0, left - room[i + 1]), min(len(masks) - 1, left) + 1):
-            if not choose(i + 1, left - a, mask | masks[a]):
-                return False
-        return True
+            choose(i + 1, left - a, mask | masks[a])
 
-    if not choose(0, z, 0):
-        return None
+    choose(0, z, 0)
     out.sort()
     return out
 
@@ -362,7 +378,7 @@ def _feasible(
     room.  Each is a relaxation of tests the cells make (it drops lo and
     that the used symbols compete for rows), so a skipped set completes no
     column: the tree and its nodes are those of the plain scan.  A skipped
-    set counts as one step toward the next read of the deadline."""
+    set, a place_cells call and a star set built each tick the budget."""
     # Twin classes -> (keys, their allowed star sets); held counts the sets.
     allowed: dict[
         tuple[int, ...], tuple[list[int], list[tuple[int, int, tuple[int, ...]]]]
@@ -380,11 +396,7 @@ def _feasible(
     slack = s * (z + 1) - target * width
     deficit = 0  # sum over symbols of Z+1 minus their potential
     best_cols: list[_Column] = []
-    # A column's cells spend no node, and one column can try millions of
-    # partial assignments, so the deadline is also read every _CELL_STEPS
-    # place_cells calls or skipped star sets.
-    deadline = budget.deadline
-    steps = _CELL_STEPS
+    spend, tick = budget.spend, budget.tick
 
     def place_cells(
         key: int,
@@ -395,13 +407,9 @@ def _feasible(
         tight: bool,
         last_syms: tuple[int, ...],
         blocked: int,
-    ) -> str:
-        nonlocal used, deficit, steps
-        steps -= 1
-        if not steps:
-            steps = _CELL_STEPS
-            if time.monotonic() > deadline:
-                return _ABORT
+    ) -> bool:
+        nonlocal used, deficit
+        tick()
         r = nonstars[idx]
         rbit = 1 << r
         lo = last_syms[idx] if tight else 0
@@ -440,40 +448,35 @@ def _feasible(
                         split |= rows
                 classes = cols[-1][3] if cols else root
                 cols.append((key, nonstars, col, _refine(classes, mask, split)))
-                code = descend(len(cols))
-                if code != _FOUND:
-                    cols.pop()
-            else:
-                code = place_cells(
-                    key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo,
-                    last_syms, blocked | low,
-                )
+                if descend(len(cols)):
+                    return True
+                cols.pop()
+            elif place_cells(
+                key, mask, nonstars, idx + 1, syms + (x,), tight and x == lo,
+                last_syms, blocked | low,
+            ):
+                return True
             deficit -= loss
             star_and[x] = old_and
             in_row[r] ^= low
             rows_of[x] ^= rbit
             used = top
-            if code != _EXHAUSTED:
-                return code
-        return _EXHAUSTED
+        return False
 
-    def descend(depth: int) -> str:
-        nonlocal best_cols, held, steps
+    def descend(depth: int) -> bool:
+        nonlocal best_cols, held
         if depth > len(best_cols):
             best_cols = list(cols)
         if depth == target:
-            return _FOUND
-        if not budget.spend():
-            return _ABORT
+            return True
+        spend()
         if cols:
             lo, _, last_syms, classes = cols[-1]
         else:
             lo, last_syms, classes = 0, (), root
         memo = allowed.get(classes)
         if memo is None:
-            sets = _allowed_star_sets(f, z, classes, deadline)
-            if sets is None:
-                return _ABORT
+            sets = _allowed_star_sets(f, z, classes, tick)
             memo = [key for key, _, _ in sets], sets
             if held + len(sets) > _MEMO_CAP:
                 allowed.clear()
@@ -511,20 +514,15 @@ def _feasible(
                     or (open_rows & ~cover).bit_count() > fresh
                     or need > 1 and sum(sorted(losses)[:need]) > room
                 ):
-                    steps -= 1
-                    if not steps:
-                        steps = _CELL_STEPS
-                        if time.monotonic() > deadline:
-                            return _ABORT
+                    tick()
                     continue  # no column with these stars can be filled
-            code = place_cells(key, mask, nonstars, 0, (), key == lo, last_syms, blocked)
-            if code != _EXHAUSTED:
-                return code
-        return _EXHAUSTED
+            if place_cells(key, mask, nonstars, 0, (), key == lo, last_syms, blocked):
+                return True
+        return False
 
     try:
-        code = descend(0)
-    except RecursionError:  # descend per column, place_cells per cell
+        code = _FOUND if descend(0) else _EXHAUSTED
+    except (_Spent, RecursionError):  # descend per column, place_cells per cell
         code = _ABORT
     chosen = cols if code == _FOUND else best_cols
     columns = [zip(nonstars, syms) for _, nonstars, syms, _ in chosen]
@@ -729,9 +727,9 @@ def _board_feasible(
 
     def place(
         x: int, size: int, mask: int, left: int, packed: int, parent_mate: list[int]
-    ) -> str:
+    ) -> bool:
         """Try each hole subset of symbol x; parent_mate is a maximum
-        matching of symbols 0..x-1."""
+        matching of symbols 0..x-1.  True once a witness is found."""
         nonlocal best
         rem = s - x
         later = f * (rem - 1)  # board cells of the symbols after x
@@ -751,8 +749,7 @@ def _board_feasible(
             rest = left - sz
             n0 = n_prev + f - sz
             while m <= full:
-                if not spend():
-                    return _ABORT
+                spend()
                 inc = incs.get(m)
                 if inc is None:
                     inc = _row_increment(m, w)
@@ -798,13 +795,12 @@ def _board_feasible(
                             # graph in the same order; the kept one may be
                             # another perfect matching.
                             best = pairs(_max_matching(adj), s)
-                            return _FOUND
+                            return True
                         down = [hole_syms[r] for r in range(f) if (m >> r) & 1]
                         for syms in down:
                             syms.append(x)
-                        code = place(x + 1, sz, m, rest, child, mate)
-                        if code != _EXHAUSTED:
-                            return code
+                        if place(x + 1, sz, m, rest, child, mate):
+                            return True
                         for syms in down:
                             syms.pop()
                     for v in range(n_prev, n0):
@@ -813,11 +809,11 @@ def _board_feasible(
                     del adj[n_prev:]
                 low = m & -m  # next mask of the same size (Gosper)
                 m = (((m + low) ^ m) >> 2) // low | (m + low)
-        return _EXHAUSTED
+        return False
 
     try:
-        code = place(0, 1, 1, f * s - 2 * target, 0, [])
-    except RecursionError:  # one frame per symbol
+        code = _FOUND if place(0, 1, 1, f * s - 2 * target, 0, []) else _EXHAUSTED
+    except (_Spent, RecursionError):  # one frame per symbol
         code = _ABORT
     if best:
         # Row symmetry: move the first column's two rows to F-2 and F-1.

@@ -88,7 +88,9 @@ def reference_feasible(f, z, s, target, budget):
             best_cols = list(cols)
         if depth == target:
             return "found"
-        if not budget.spend():
+        try:
+            budget.spend()
+        except search._Spent:
             return "abort"
         if cols:
             lo, _, last_syms, classes = cols[-1]

@@ -112,10 +112,48 @@ class TestSearchConfig:
         for budget in (math.nan, math.inf, -math.inf):
             with pytest.raises(PdaUsageError):
                 SearchConfig(time_budget=budget)
+        # A bool is an int to Python, but True would run one node.
+        for budget in (2.5, True, "5", None):
+            with pytest.raises(PdaUsageError):
+                SearchConfig(node_budget=budget)
+        for budget in (True, "5", None):
+            with pytest.raises(PdaUsageError):
+                SearchConfig(time_budget=budget)
 
     def test_defaults_are_sequential(self):
         names = [fld.name for fld in dataclasses.fields(SearchConfig)]
         assert names == ["time_budget", "node_budget"]
+
+
+class TestBudget:
+    """A spent budget stops a level one way: spend and tick raise _Spent."""
+
+    def test_spend_raises_at_the_cap(self):
+        budget = search._Budget(quick(node_budget=3))
+        for _ in range(3):
+            budget.spend()
+        for _ in range(2):  # every later node is refused too, and not counted
+            with pytest.raises(search._Spent):
+                budget.spend()
+        assert budget.count == 3
+
+    def test_tick_reads_the_clock_every_cell_steps(self):
+        budget = search._Budget(quick())
+        budget.deadline = budget.start - 1.0
+        for _ in range(search._CELL_STEPS - 1):
+            budget.tick()
+        with pytest.raises(search._Spent):
+            budget.tick()
+        assert budget.count == 0
+
+    def test_star_sets_raise_on_a_spent_budget(self):
+        # Sixteen rows of their own classes allow C(16, 8) sets, more than
+        # one clock read's worth: a passed deadline stops the build.
+        budget = search._Budget(quick())
+        budget.deadline = budget.start - 1.0
+        with pytest.raises(search._Spent):
+            search._allowed_star_sets(16, 8, (), budget.tick)
+        assert len(search._allowed_star_sets(16, 8, ())) == math.comb(16, 8)
 
 
 class TestMaxK:
