@@ -23,6 +23,7 @@ this module.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
@@ -32,6 +33,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 # A cell is either a symbol in [0, S) or a star, encoded as None.
 Cell = int | None
 STAR: Cell = None
+
+# Each used symbol's cells (row, col) in row-major order, the symbols in
+# order of first occurrence: PdaGrid._symbol_cells.
+Census = dict[int, tuple[tuple[int, int], ...]]
 
 
 class PdaUsageError(ValueError):
@@ -67,7 +72,9 @@ class PdaGrid:
     own builders (the transforms, the constructions, the search's witnesses)
     and the two parsers, which check each token as they read it, build
     through _grid instead: the same shape checks, without the repeated scan
-    of cells already known to lie in [0, s).
+    of cells already known to lie in [0, s).  A builder that holds the
+    grid's symbol census in a cheaper form (symbol_dual, concat and
+    replicate) also leaves its derivation there, for _symbol_cells.
     """
 
     f: int
@@ -95,7 +102,9 @@ class PdaGrid:
 
     # Derived values are computed on first use and kept: grids key
     # lru_caches and are read by every layer, while building a grid stays
-    # free of any scan.
+    # free of any scan.  The symbol census is the one a builder may know
+    # how to derive; the derivation waits in the instance dict under
+    # "_census" until the first read, which runs it in place of the scan.
 
     @cached_property
     def _hash(self) -> int:
@@ -107,10 +116,13 @@ class PdaGrid:
         return tuple(self.cells[j :: self.k].count(None) for j in range(self.k))
 
     @cached_property
-    def _symbol_cells(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def _symbol_cells(self) -> Census:
         """Each occurring symbol's cells (row, col) in row-major order, the
         symbols in order of first occurrence.  Shared by every reader, so
         never mutated."""
+        derive = self.__dict__.pop("_census", None)
+        if derive is not None:
+            return derive()
         found: dict[int, list[tuple[int, int]]] = {}
         k = self.k
         for idx, c in enumerate(self.cells):
@@ -128,7 +140,8 @@ class PdaGrid:
 
     def __getstate__(self) -> dict:
         # Only the fields are pickled: the kept hash is per process (None
-        # hashes by address), and the rest is recomputed on demand.
+        # hashes by address), a pending census may hold other grids, and the
+        # rest is recomputed on demand.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
@@ -183,13 +196,19 @@ class PdaGrid:
         return PdaParams(k=self.k, f=self.f, s=self.s, z=self._regular_z, d=d)
 
 
-def _grid(f: int, k: int, s: int, cells: tuple[Cell, ...]) -> PdaGrid:
+def _grid(
+    f: int, k: int, s: int, cells: tuple[Cell, ...], census: Callable[[], Census] | None = None
+) -> PdaGrid:
     """A grid whose cells are known to be stars or ints in [0, s), because
     they come from a checked grid or a construction: the shape checks run,
-    the per-cell scan of the public constructor does not."""
+    the per-cell scan of the public constructor does not.  census, when
+    given, returns exactly what the scan of _symbol_cells would, and runs
+    in its place on the first read."""
     grid = object.__new__(PdaGrid)
     grid.__dict__.update(f=f, k=k, s=s, cells=cells)
     grid._check_shape()
+    if census is not None:
+        grid.__dict__["_census"] = census
     return grid
 
 
@@ -304,16 +323,19 @@ class _PerSymbol(Mapping[int, V]):
 def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     """Check the two PDA properties, and column-regularity if expected_z is given.
 
-    A symbol with no row or column repeat passes the star-corner check
-    when none of its rows holds a symbol in another of its columns.  That
-    is one mask test per cell, on masks of the symbol cells along the
+    A symbol passes when its cells lie in distinct rows and columns and
+    none of its rows holds a symbol in another of its columns.  That is
+    one pass over its cells, with masks of the symbol cells along the
     grid's shorter side: one per column when F <= K, else one per row,
     each of at most min(F, K) bits.  The masks are set from the symbol
     census, one bit per symbol cell, and a column (row) with no symbol
-    gets none.  Any other symbol, and one the masks reject, walks its
-    occurrence pairs, which lists its violations in order.  So after the
-    census a valid grid costs O(symbol cells) steps of at most one
-    min(F, K)-bit integer operation each, whatever its stars.
+    gets none.  A symbol the pass rejects walks its cells for repeats and
+    its occurrence pairs for corners, which lists its violations in order.
+    So after the census a valid grid costs O(symbol cells) steps of at
+    most one min(F, K)-bit integer operation each, whatever its stars.
+    The census is the grid's kept one: a grid from symbol_dual, concat or
+    replicate derives it from what its builder held, without reading a
+    star, and any other grid scans its F * K cells once.
 
     The violations are made lazily, in report order, and only the first
     _MAX_VIOLATIONS + 1 are taken.  Repeats, at most two per cell, are
@@ -343,26 +365,30 @@ def verify(grid: PdaGrid, expected_z: int | None = None) -> VerificationReport:
     row_repeats: list[tuple[int, int, int, int]] = []  # (row, col_b, symbol, col_a)
     col_repeats: list[tuple[int, int, int, int]] = []  # (col, row_b, symbol, row_a)
     suspects: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    on_line, on_across = itemgetter(line), itemgetter(across)
+    bit, line_mask = (1).__lshift__, masks.__getitem__
     for sym, occs in occurrences.items():
-        sides = tuple(zip(*occs))  # the rows, then the columns, of its cells
-        if len(set(sides[0])) == len(set(sides[1])) == len(occs):
-            # One cell per row and column: the symbol's corners are all
-            # stars iff each of its lines holds no symbol at the symbol's
-            # other positions across.  Each line's part of spots holds its
-            # own cell's bit, so the parts sum to spots iff none holds more.
-            spots = sum(map((1).__lshift__, sides[across]))
-            if sum(map(spots.__and__, map(masks.__getitem__, sides[line]))) == spots:
-                continue
-        else:
-            first_col: dict[int, int] = {}
-            first_row: dict[int, int] = {}
-            for i, j in occs:
-                col_a = first_col.setdefault(i, j)
-                if col_a != j:
-                    row_repeats.append((i, j, sym, col_a))
-                row_a = first_row.setdefault(j, i)
-                if row_a != i:
-                    col_repeats.append((j, i, sym, row_a))
+        # The symbol's positions across as one mask, spots.  With one bit
+        # per cell, and each cell's line holding no symbol at the symbol's
+        # other positions across, the symbol has no repeat and its corners
+        # are all stars.  Each line's part of spots holds its own cell's
+        # bit, so the parts sum to spots iff none holds more; two cells on
+        # one line would each hold both bits.
+        spots = sum(map(bit, map(on_across, occs)))
+        if (
+            spots.bit_count() == len(occs)
+            and sum(map(spots.__and__, map(line_mask, map(on_line, occs)))) == spots
+        ):
+            continue
+        first_col: dict[int, int] = {}
+        first_row: dict[int, int] = {}
+        for i, j in occs:
+            col_a = first_col.setdefault(i, j)
+            if col_a != j:
+                row_repeats.append((i, j, sym, col_a))
+            row_a = first_row.setdefault(j, i)
+            if row_a != i:
+                col_repeats.append((j, i, sym, row_a))
         suspects.append((sym, occs))
     row_repeats.sort()
     col_repeats.sort()
@@ -464,29 +490,52 @@ def symbol_dual(grid: PdaGrid) -> PdaGrid:
     valid grid is valid, and the dual is an involution.  A column with Z
     stars among F rows turns into a column with S - (F - Z) stars.
 
-    Requires S >= 1 (the dual needs at least one row).  Column uniqueness of
-    the input is checked on the fly because the dual is ill-defined without
-    it; full validity is the caller's contract.
+    Requires S >= 1 (the dual needs at least one row) and S * K cells that
+    a tuple can index.  Column uniqueness of the input is checked on the
+    fly because the dual is ill-defined without it; full validity is the
+    caller's contract.
+
+    The dual's census is derived from the input's on first read: dual
+    symbol i has a cell (x, j) for each input cell (i, j) holding x, and
+    taking x, then j, ascending gives them in row-major order and the
+    symbols in order of first occurrence.
     """
     if grid.s < 1:
         raise PdaUsageError("symbol dual needs a nonempty symbol space")
     f, k, s = grid.f, grid.k, grid.s
+    if s * k > sys.maxsize:
+        raise PdaUsageError(f"symbol dual of S={s} rows by K={k} columns is too large")
     occurrences = grid._symbol_cells
 
+    def dual_rows() -> Iterator[tuple[int, list[tuple[int, int]]]]:
+        """Each used symbol x with its cells as (col, row), left to right:
+        the dual's nonempty rows in order, each as (col, symbol)."""
+        for x in sorted(occurrences):
+            yield x, sorted((j, i) for i, j in occurrences[x])
+
     def pieces() -> Iterator[Iterable[Cell]]:
-        """Dual row x, left to right: runs of stars between x's cells."""
-        for x in range(s):
-            end = 0  # one past the column of x's last cell so far
-            for j, i in sorted((j, i) for i, j in occurrences.get(x, ())):
-                if j < end:
+        """The dual's cells, row-major: runs of stars between its symbol
+        cells."""
+        end = 0  # one past the last cell placed, as a row-major index
+        for x, row in dual_rows():
+            for j, i in row:
+                at = x * k + j
+                if at < end:
                     raise _first_column_repeat(occurrences)
-                yield itertools.repeat(None, j - end)
+                yield itertools.repeat(None, at - end)
                 yield (i,)
-                end = j + 1
-            yield itertools.repeat(None, k - end)
+                end = at + 1
+        yield itertools.repeat(None, s * k - end)
+
+    def census() -> Census:
+        found: dict[int, list[tuple[int, int]]] = {}
+        for x, row in dual_rows():
+            for j, i in row:
+                found.setdefault(i, []).append((x, j))
+        return {i: tuple(cells) for i, cells in found.items()}
 
     cells = tuple(_Sized(itertools.chain.from_iterable(pieces()), s * k))
-    return _grid(s, k, f, cells)
+    return _grid(s, k, f, cells, census)
 
 
 class _Sized:
@@ -630,13 +679,59 @@ def _take(
 
 def _side_by_side(f: int, parts: Sequence[tuple[PdaGrid, int]], s: int) -> PdaGrid:
     """F-row grids (grid, shift) placed side by side over [0, s), a symbol
-    x of each written x + shift."""
+    x of each written x + shift; the shifts keep the parts' symbols apart.
+    The census waits as _Tiles over the parts' base grids.  A base part
+    whose census was read is kept as that census, and one with a pending
+    derivation as the derivation; a plain part whose census is unread is
+    kept whole, cells and all, until this grid's census is read."""
     blocks = [
         (g.k, [c + t if c is not None else None for c in g.cells] if t else g.cells) for g, t in parts
     ]
     k = sum(gk for gk, _ in blocks)
     rows = (cells[i * gk : i * gk + gk] for i in range(f) for gk, cells in blocks)
-    return _grid(f, k, s, tuple(_Sized(itertools.chain.from_iterable(rows), f * k)))
+    tiles: list[tuple[_CensusSource, int, int]] = []
+    offset = 0
+    for g, t in parts:
+        known = vars(g)
+        pending = known.get("_census")
+        if isinstance(pending, _Tiles):
+            tiles += [(base, t + shift, offset + at) for base, shift, at in pending.tiles]
+        else:
+            source = known["_symbol_cells"] if "_symbol_cells" in known else pending or g
+            tiles.append((source, t, offset))
+        offset += g.k
+    cells = tuple(_Sized(itertools.chain.from_iterable(rows), f * k))
+    return _grid(f, k, s, cells, _Tiles(tiles))
+
+
+# A base part of _Tiles: its census, its pending derivation, or the grid.
+_CensusSource = Census | Callable[[], Census] | PdaGrid
+
+
+class _Tiles:
+    """The pending census of grids placed side by side: tiles holds each
+    base part as (where its census comes from, symbol shift, column
+    offset).  A part that is itself pending tiles adds its own tiles, so
+    no composed grid in between is kept alive."""
+
+    def __init__(self, tiles: list[tuple[_CensusSource, int, int]]) -> None:
+        self.tiles = tiles
+
+    def __call__(self) -> Census:
+        # No symbol is in two tiles, so each keeps its cells, moved right by
+        # its offset; a symbol's first cell orders it among all of them.
+        found = []
+        for base, shift, offset in self.tiles:
+            if isinstance(base, PdaGrid):
+                census = base._symbol_cells
+            else:
+                census = base if isinstance(base, dict) else base()
+            for x, occs in census.items():
+                if offset:
+                    occs = tuple([(i, j + offset) for i, j in occs])
+                found.append((occs[0], x + shift, occs))
+        found.sort()
+        return {x: occs for _, x, occs in found}
 
 
 # ---------------------------------------------------------------------------

@@ -299,34 +299,36 @@ def _allowed_star_sets(
     covered = 0
     for c in classes:
         covered |= c
-    # Each class as its prefix masks: prefixes[i][a] stars its lowest a rows.
-    prefixes = []
+    # Each class as its choices: choices[i][a] stars its lowest a rows, as
+    # (star mask, the same rows at bits F-1-r, the class's other rows).
+    choices = []
     for c in classes + tuple(1 << r for r in range(f) if not covered >> r & 1):
-        masks = [0]
-        while c:
-            low = c & -c
-            masks.append(masks[-1] | low)
-            c ^= low
-        prefixes.append(masks)
-    room = [0] * (len(prefixes) + 1)  # rows in the classes from i on
-    for i in range(len(prefixes) - 1, -1, -1):
-        room[i] = room[i + 1] + len(prefixes[i]) - 1
+        rows = [r for r in range(f) if c >> r & 1]
+        mask = mirrored = 0
+        options = [(0, 0, tuple(rows))]
+        for a, r in enumerate(rows, 1):
+            mask |= 1 << r
+            mirrored |= 1 << f - 1 - r
+            options.append((mask, mirrored, tuple(rows[a:])))
+        choices.append(options)
+    room = [0] * (len(choices) + 1)  # rows in the classes from i on
+    for i in range(len(choices) - 1, -1, -1):
+        room[i] = room[i + 1] + len(choices[i]) - 1
     out = []
 
-    def choose(i: int, left: int, mask: int) -> None:
-        if i == len(prefixes):
+    def choose(i: int, left: int, mask: int, mirrored: int, nonstars: tuple[int, ...]) -> None:
+        if i == len(choices):
             # Lex order of star tuples is descending order of the mask
             # with row r at bit F-1-r.
-            key = (1 << f) - sum(1 << f - 1 - r for r in range(f) if mask >> r & 1)
-            nonstars = tuple(r for r in range(f) if not mask >> r & 1)
-            out.append((key, mask, nonstars))
+            out.append(((1 << f) - mirrored, mask, tuple(sorted(nonstars))))
             tick()
             return
-        masks = prefixes[i]
-        for a in range(max(0, left - room[i + 1]), min(len(masks) - 1, left) + 1):
-            choose(i + 1, left - a, mask | masks[a])
+        options = choices[i]
+        for a in range(max(0, left - room[i + 1]), min(len(options) - 1, left) + 1):
+            m, mm, rest = options[a]
+            choose(i + 1, left - a, mask | m, mirrored | mm, nonstars + rest)
 
-    choose(0, z, 0)
+    choose(0, z, 0, 0, ())
     out.sort()
     return out
 

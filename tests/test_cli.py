@@ -267,6 +267,16 @@ class TestTransform:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: out of memory\n")
 
+    def test_a_dual_past_the_index_range_exits_two(self):
+        proc = run_cli(
+            "transform", "dual", "-",
+            stdin="#PDA v1\nK=2 F=2 Z=1 S=99999999999999999999\n* 0\n0 *\n",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "too large" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_transform_usage_error(self):
         proc = run_cli(
             "transform", "permute", "-", "--rows", "0,0,1",

@@ -357,6 +357,18 @@ class TestSymbolDual:
         with pytest.raises(pk.PdaUsageError):
             pk.symbol_dual(grid([[0], [0]], 1))
 
+    def test_rejects_a_dual_past_the_index_range(self):
+        # S * K cells no tuple can index: a usage error, not an OverflowError.
+        g = pk.PdaGrid(f=2, k=2, s=10**20, cells=(None, 0, 0, None))
+        with pytest.raises(pk.PdaUsageError, match="too large"):
+            pk.symbol_dual(g)
+
+    def test_no_columns_and_a_huge_symbol_space(self):
+        # Costs nothing per declared symbol: the dual has no cells.
+        d = pk.symbol_dual(pk.PdaGrid(f=2, k=0, s=10**20, cells=()))
+        assert (d.f, d.k, d.s, d.cells) == (10**20, 0, 2, ())
+        assert d._symbol_cells == {}
+
     @pytest.mark.parametrize(
         "rows, named",
         [
